@@ -1,47 +1,46 @@
-//! Intervention families beyond vertex blocking — edge blocking and
-//! prebunking against a resident [`SamplePool`].
-//!
-//! The paper blocks *vertices*; the surrounding literature shows the same
-//! pooled-realisation machinery answers two sibling questions:
-//!
-//! * **Edge blocking** (Zehmakan & Maurya, arXiv 2308.08860): remove `k`
-//!   edges instead of vertices. In a stored realisation a removed edge is a
-//!   targeted live-edge deletion — and when the deleted edge `(u, v)` is
-//!   the *only* live in-edge of `v` among the reached region, deleting it
-//!   detaches exactly the vertices dominated by `v`, so the dominator-tree
-//!   subtree size prices the edge **exactly** per realisation.
-//! * **Prebunking** (Furutani et al., arXiv 2508.01124): a prebunked
-//!   vertex keeps transmitting, but *accepts* each incoming activation
-//!   only with probability `α`. Under the integer coin-threshold
-//!   representation of the pool this is conditional thinning: a stored
-//!   live edge into a prebunked vertex survives an `α`-coin drawn from a
-//!   deterministic per-(sample, edge) hash stream — untouched realisations
-//!   and vertices pay nothing, and `α = 1.0` keeps every edge, making the
-//!   estimate byte-identical to no intervention at all.
+//! Intervention families — what a containment request removes from the
+//! cascade — and the greedy drivers for the two beyond vertex blocking.
 //!
 //! [`Intervention`] is the request-level selector threaded through
-//! [`crate::ContainmentRequest`]; the greedy loops here mirror the pooled
-//! vertex loops of [`crate::pool`] (same integer accumulation, same
-//! bit-identical-at-any-thread-count contract) but live in their own module
-//! so the vertex hot path stays byte-stable.
+//! [`crate::ContainmentRequest`]: the paper's vertex blocking, edge
+//! blocking (Zehmakan & Maurya, arXiv 2308.08860) or prebunking (Furutani
+//! et al., arXiv 2508.01124). Each family is a *cut*, which drops stored
+//! live edges of a realisation, plus a *credit* rule, which prices
+//! candidates from the dominator subtree sizes `size(v)` of the cascade
+//! re-rooted at the seeds:
+//!
+//! | family  | the cut drops live edge `(u, t)` when …    | credit                               |
+//! |---------|--------------------------------------------|--------------------------------------|
+//! | vertex  | `t` is blocked                             | `size(t)` per vertex `t`             |
+//! | prebunk | `t` is prebunked and its `α`-coin rejects  | `size(t)` per vertex `t`             |
+//! | edge    | `(u, t)` is deleted                        | `size(t)` per sole live in-edge `(u, t)` |
+//!
+//! Deleting `t`'s only live in-edge detaches exactly the vertices `t`
+//! dominates, so the edge credit is exact per realisation. A prebunked
+//! vertex keeps transmitting but accepts each activation only with
+//! probability `α`; its coin is a deterministic hash of the pool seed, the
+//! realisation index and the edge, so `α = 1.0` keeps every edge
+//! (byte-identical to no intervention) and `α = 0.0` is vertex blocking.
+//!
+//! The greedy drivers [`pooled_edge_greedy_in`] and
+//! [`pooled_prebunk_greedy_in`] price every round with the one
+//! re-rooted-cascade kernel of [`crate::pool`], like the vertex greedy
+//! loops: the same integer accumulation, the same bit-identical answers at
+//! any thread count, and the same phase attribution.
 
 use crate::decrease::DecreaseEstimate;
-use crate::pool::{shard_ranges, SamplePool};
+use crate::pool::{
+    check_mask_len, timed_best, validate_pooled_query, with_pool_workspace, Credit, Cut,
+    PoolWorkspace, SamplePool,
+};
 use crate::request::{ContainmentRequest, EvalBackend};
 use crate::types::{BlockerSelection, SelectionStats};
 use crate::{IminError, Result};
-use imin_domtree::DomTreeWorkspace;
 use imin_graph::VertexId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 use std::str::FromStr;
 use std::time::Instant;
-
-/// Sentinel for "no local slot" in the dense renumbering.
-const UNMAPPED: u32 = u32::MAX;
-/// Global id stored at local 0: the virtual root above the seed set.
-const VIRTUAL_ROOT: u32 = u32::MAX;
 
 /// What a containment request removes from the cascade: the paper's vertex
 /// blocking (the default), edge blocking, or probabilistic prebunking.
@@ -179,251 +178,49 @@ fn prebunk_coin(pool_seed: u64, sample_idx: u64, src: u32, dst: u32) -> u64 {
     x
 }
 
-/// What the re-rooted BFS filters and what the credit pass accumulates.
-enum Mode<'a> {
-    /// Skip deleted edges; credit each sole-in-edge `(u, v)` with
-    /// `subtree_size(v)` into the edge map.
-    Edge {
-        deleted: &'a HashSet<(u32, u32)>,
-        deleted_src: &'a [bool],
-    },
-    /// Thin live edges into prebunked vertices by the `α`-coin; credit
-    /// vertices exactly like the vertex estimator.
-    Prebunk {
-        prebunked: &'a [bool],
-        keep_threshold: u64,
-        pool_seed: u64,
-    },
+/// The prebunk cut: a stored live edge into a prebunked vertex survives
+/// only when its `α`-coin comes up accept.
+struct PrebunkCut<'a> {
+    prebunked: &'a [bool],
+    keep_threshold: u64,
+    pool_seed: u64,
 }
 
-/// Per-worker scratch for the intervention estimators: the re-rooted
-/// cascade (with per-vertex in-degree and sole-predecessor tracking, which
-/// the vertex path does not need), the dominator workspace and the integer
-/// accumulators. Merging across workers is pure `u64` addition, so results
-/// are thread-count-independent exactly like [`crate::pool`].
-#[derive(Default)]
-struct InterveneScratch {
-    vertices: Vec<u32>,
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    local_of: Vec<u32>,
-    /// Live in-edges per local vertex (the virtual-root edge counts for
-    /// seeds, keeping them out of the sole-in-edge criterion).
-    in_count: Vec<u32>,
-    /// Global id of the first live predecessor per local vertex;
-    /// [`VIRTUAL_ROOT`] for seeds.
-    pred: Vec<u32>,
-    sample_offsets: Vec<u32>,
-    sample_targets: Vec<u32>,
-    domtree: DomTreeWorkspace,
-    sizes: Vec<u64>,
-    edge_delta: HashMap<(u32, u32), u64>,
-    vertex_delta: Vec<u64>,
-    reached_sum: u64,
-}
-
-impl InterveneScratch {
-    fn reset_cascade(&mut self, n: usize) {
-        for &v in self.vertices.iter().skip(1) {
-            self.local_of[v as usize] = UNMAPPED;
-        }
-        if self.local_of.len() < n {
-            self.local_of.resize(n, UNMAPPED);
-        }
-        self.vertices.clear();
-        self.vertices.push(VIRTUAL_ROOT);
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.targets.clear();
-        self.in_count.clear();
-        self.in_count.push(0);
-        self.pred.clear();
-        self.pred.push(VIRTUAL_ROOT);
-    }
-
-    fn intern(&mut self, global: u32) -> u32 {
-        let slot = self.local_of[global as usize];
-        if slot != UNMAPPED {
-            return slot;
-        }
-        let local = self.vertices.len() as u32;
-        self.local_of[global as usize] = local;
-        self.vertices.push(global);
-        self.in_count.push(0);
-        self.pred.push(VIRTUAL_ROOT);
-        local
-    }
-
-    /// Re-roots every realisation in `range` under the intervention and
-    /// accumulates credit: subtree sizes per sole-in-edge for `Edge`,
-    /// per vertex for `Prebunk`.
-    fn accumulate(
-        &mut self,
-        pool: &SamplePool,
-        seeds: &[u32],
-        is_seed: &[bool],
-        range: Range<usize>,
-        mode: &Mode<'_>,
-    ) {
-        let n = pool.num_vertices();
-        self.edge_delta.clear();
-        self.vertex_delta.clear();
-        self.vertex_delta.resize(n, 0);
-        self.reached_sum = 0;
-        let only_seeds = 1 + seeds.len();
-        for idx in range {
-            pool.sample_csr_into(idx, &mut self.sample_offsets, &mut self.sample_targets);
-            self.reset_cascade(n);
-            // Virtual root → every seed, with probability 1.
-            for &s in seeds {
-                let local = self.intern(s);
-                self.in_count[local as usize] += 1;
-                self.targets.push(local);
-            }
-            self.offsets.push(self.targets.len() as u32);
-            let mut head = 1usize;
-            while head < self.vertices.len() {
-                let u_global = self.vertices[head];
-                head += 1;
-                let lo = self.sample_offsets[u_global as usize] as usize;
-                let hi = self.sample_offsets[u_global as usize + 1] as usize;
-                for ti in lo..hi {
-                    let t = self.sample_targets[ti];
-                    match *mode {
-                        Mode::Edge {
-                            deleted,
-                            deleted_src,
-                        } => {
-                            if deleted_src[u_global as usize] && deleted.contains(&(u_global, t)) {
-                                continue;
-                            }
-                        }
-                        Mode::Prebunk {
-                            prebunked,
-                            keep_threshold,
-                            pool_seed,
-                        } => {
-                            if prebunked[t as usize]
-                                && (prebunk_coin(pool_seed, idx as u64, u_global, t) >> 11)
-                                    >= keep_threshold
-                            {
-                                continue;
-                            }
-                        }
-                    }
-                    let t_local = self.intern(t);
-                    self.in_count[t_local as usize] += 1;
-                    if self.in_count[t_local as usize] == 1 {
-                        self.pred[t_local as usize] = u_global;
-                    }
-                    self.targets.push(t_local);
-                }
-                self.offsets.push(self.targets.len() as u32);
-            }
-            let reached = self.vertices.len();
-            self.reached_sum += (reached - 1) as u64;
-            if reached <= only_seeds {
-                continue;
-            }
-            let tree =
-                self.domtree
-                    .compute_csr(reached, &self.offsets, &self.targets, VertexId::new(0));
-            tree.subtree_sizes_into(&mut self.sizes);
-            match *mode {
-                Mode::Edge { .. } => {
-                    // Exact marginal gain: if (pred, v) is v's only live
-                    // in-edge, deleting it detaches exactly the vertices
-                    // dominated by v. Seeds are excluded automatically —
-                    // their sole in-edge is the virtual-root edge.
-                    for v in 1..reached {
-                        if self.in_count[v] == 1 && self.pred[v] != VIRTUAL_ROOT {
-                            *self
-                                .edge_delta
-                                .entry((self.pred[v], self.vertices[v]))
-                                .or_insert(0) += self.sizes[v];
-                        }
-                    }
-                }
-                Mode::Prebunk { .. } => {
-                    for (&global, &size) in self.vertices[1..reached]
-                        .iter()
-                        .zip(&self.sizes[1..reached])
-                    {
-                        if is_seed[global as usize] {
-                            continue;
-                        }
-                        self.vertex_delta[global as usize] += size;
-                    }
-                }
-            }
+impl<'a> PrebunkCut<'a> {
+    fn new(pool: &SamplePool, prebunked: &'a [bool], alpha: f64) -> Self {
+        PrebunkCut {
+            prebunked,
+            keep_threshold: alpha_threshold(alpha),
+            pool_seed: pool.pool_seed(),
         }
     }
 }
 
-/// Canonicalises the seed set (sort, dedup, bounds-check) into plain
-/// buffers plus a membership mask.
-fn stage_seeds(n: usize, seeds: &[VertexId]) -> Result<(Vec<u32>, Vec<bool>)> {
-    if seeds.is_empty() {
-        return Err(IminError::EmptySeedSet);
+impl Cut for PrebunkCut<'_> {
+    const CREDIT: Credit = Credit::Vertex;
+
+    #[inline]
+    fn keeps(&self, sample: usize, u: u32, t: u32) -> bool {
+        !self.prebunked[t as usize]
+            || (prebunk_coin(self.pool_seed, sample as u64, u, t) >> 11) < self.keep_threshold
     }
-    let mut staged = Vec::with_capacity(seeds.len());
-    for &s in seeds {
-        if s.index() >= n {
-            return Err(IminError::SeedOutOfRange {
-                vertex: s.index(),
-                num_vertices: n,
-            });
-        }
-        staged.push(s.raw());
-    }
-    staged.sort_unstable();
-    staged.dedup();
-    let mut is_seed = vec![false; n];
-    for &s in &staged {
-        is_seed[s as usize] = true;
-    }
-    Ok((staged, is_seed))
 }
 
-/// Runs `accumulate` over the whole pool, sharded across `threads`
-/// workers, and merges the integer accumulators (order-independent, so
-/// results are bit-identical at any thread count).
-fn sharded_accumulate(
-    pool: &SamplePool,
-    seeds: &[u32],
-    is_seed: &[bool],
-    threads: usize,
-    mode: &Mode<'_>,
-) -> (HashMap<(u32, u32), u64>, Vec<u64>, u64) {
-    let theta = pool.theta();
-    let threads = threads.max(1).min(theta);
-    let mut workers: Vec<InterveneScratch> = Vec::new();
-    workers.resize_with(threads, InterveneScratch::default);
-    if threads <= 1 {
-        workers[0].accumulate(pool, seeds, is_seed, 0..theta, mode);
-    } else {
-        crossbeam::scope(|scope| {
-            for (worker, range) in workers.iter_mut().zip(shard_ranges(theta, threads)) {
-                scope.spawn(move |_| worker.accumulate(pool, seeds, is_seed, range, mode));
-            }
-        })
-        .expect("intervention-estimator worker panicked");
+/// The edge cut: deleted edges are dropped from every realisation.
+/// `deleted_src` marks their sources, so the common case costs one mask
+/// load.
+struct EdgeCut<'a> {
+    deleted: &'a [(u32, u32)],
+    deleted_src: &'a [bool],
+}
+
+impl Cut for EdgeCut<'_> {
+    const CREDIT: Credit = Credit::SoleInEdge;
+
+    #[inline]
+    fn keeps(&self, _sample: usize, u: u32, t: u32) -> bool {
+        !self.deleted_src[u as usize] || !self.deleted.contains(&(u, t))
     }
-    let mut iter = workers.into_iter();
-    let first = iter.next().expect("at least one worker");
-    let mut edge_delta = first.edge_delta;
-    let mut vertex_delta = first.vertex_delta;
-    let mut reached_total = first.reached_sum;
-    for worker in iter {
-        reached_total += worker.reached_sum;
-        for (edge, d) in worker.edge_delta {
-            *edge_delta.entry(edge).or_insert(0) += d;
-        }
-        for (acc, d) in vertex_delta.iter_mut().zip(worker.vertex_delta) {
-            *acc += d;
-        }
-    }
-    (edge_delta, vertex_delta, reached_total)
 }
 
 /// Algorithm 2 generalised to prebunking: estimates the spread decrease of
@@ -445,31 +242,39 @@ pub fn pooled_prebunk_decrease(
     alpha: f64,
     threads: usize,
 ) -> Result<DecreaseEstimate> {
-    let n = pool.num_vertices();
-    if prebunked.len() != n {
-        return Err(IminError::Diffusion(
-            imin_diffusion::DiffusionError::MaskLengthMismatch {
-                mask_len: prebunked.len(),
-                num_vertices: n,
-            },
-        ));
-    }
+    check_mask_len(pool, prebunked)?;
     Intervention::Prebunk { alpha }.validate()?;
-    let (staged, is_seed) = stage_seeds(n, seeds)?;
-    let mode = Mode::Prebunk {
-        prebunked,
-        keep_threshold: alpha_threshold(alpha),
-        pool_seed: pool.pool_seed(),
-    };
-    let (_, vertex_delta, reached_total) =
-        sharded_accumulate(pool, &staged, &is_seed, threads, &mode);
-    let theta = pool.theta();
-    let inv = 1.0 / theta as f64;
-    Ok(DecreaseEstimate {
-        delta: vertex_delta.iter().map(|&d| d as f64 * inv).collect(),
-        average_reached: reached_total as f64 * inv,
-        samples: theta,
-    })
+    let mut workspace = PoolWorkspace::new();
+    workspace.stage_seeds(pool.num_vertices(), seeds, None)?;
+    let cut = PrebunkCut::new(pool, prebunked, alpha);
+    Ok(workspace.decrease_estimate(pool, &cut, threads))
+}
+
+/// Deterministic argmax of the merged edge credit, whatever the map's
+/// iteration order: largest credit first, ties towards the
+/// lexicographically smallest edge; `None` when no edge has positive
+/// credit. With `seed_first`, only edges leaving the seed set compete
+/// while any of them has positive credit.
+fn best_edge(
+    credit: &HashMap<(u32, u32), u64>,
+    is_seed: &[bool],
+    seed_first: bool,
+) -> Option<((u32, u32), u64)> {
+    let seed_edges_only = seed_first && credit.iter().any(|(e, &d)| is_seed[e.0 as usize] && d > 0);
+    let mut best: Option<((u32, u32), u64)> = None;
+    for (&edge, &delta) in credit {
+        if seed_edges_only && !is_seed[edge.0 as usize] {
+            continue;
+        }
+        let better = match best {
+            None => delta > 0,
+            Some((b_edge, b_delta)) => delta > b_delta || (delta == b_delta && edge < b_edge),
+        };
+        if better {
+            best = Some((edge, delta));
+        }
+    }
+    best
 }
 
 /// Greedy edge blocking against a borrowed resident pool: every round
@@ -486,6 +291,9 @@ pub fn pooled_prebunk_decrease(
 /// (deleting any edge would change nothing), so fewer than `budget` edges
 /// may be returned.
 ///
+/// Runs on this thread's [`with_pool_workspace`] scratch, so it must not
+/// be called from inside that function's closure.
+///
 /// # Errors
 /// Returns an error on a zero budget or an empty/out-of-range seed set.
 pub fn pooled_edge_greedy_in(
@@ -500,63 +308,52 @@ pub fn pooled_edge_greedy_in(
         return Err(IminError::ZeroBudget);
     }
     let n = pool.num_vertices();
-    let (staged, is_seed) = stage_seeds(n, seeds)?;
     let theta = pool.theta();
-    let mut deleted: HashSet<(u32, u32)> = HashSet::new();
+    let mut deleted: Vec<(u32, u32)> = Vec::with_capacity(budget);
     let mut deleted_src = vec![false; n];
-    let mut blocked_edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(budget);
     let mut stats = SelectionStats::default();
     let mut estimated_spread = None;
-    for round in 0..budget {
-        let mode = Mode::Edge {
-            deleted: &deleted,
-            deleted_src: &deleted_src,
-        };
-        let (edge_delta, _, reached_total) =
-            sharded_accumulate(pool, &staged, &is_seed, threads, &mode);
-        stats.samples_drawn += theta;
-        let average_reached = reached_total as f64 / theta as f64;
-        // Deterministic argmax whatever the map's iteration order: largest
-        // credit first, ties towards the lexicographically smallest edge.
-        let mut best: Option<((u32, u32), u64)> = None;
-        for (&edge, &delta) in &edge_delta {
-            if seed_first
-                && !is_seed[edge.0 as usize]
-                && edge_delta
-                    .iter()
-                    .any(|(e, &d)| is_seed[e.0 as usize] && d > 0)
-            {
-                continue;
-            }
-            let better = match best {
-                None => delta > 0,
-                Some((b_edge, b_delta)) => delta > b_delta || (delta == b_delta && edge < b_edge),
+    with_pool_workspace(|workspace| -> Result<()> {
+        workspace.stage_seeds(n, seeds, None)?;
+        for round in 0..budget {
+            let cut = EdgeCut {
+                deleted: &deleted,
+                deleted_src: &deleted_src,
             };
-            if better {
-                best = Some((edge, delta));
-            }
+            let (reached_total, best) =
+                workspace.run(pool, &cut, threads, imin_obs::Phase::Select, |sums| {
+                    (
+                        sums.reached,
+                        best_edge(sums.edges, sums.is_seed, seed_first),
+                    )
+                });
+            stats.samples_drawn += theta;
+            let average_reached = reached_total as f64 / theta as f64;
+            let Some(((src, dst), delta)) = best else {
+                estimated_spread = Some(average_reached);
+                break;
+            };
+            estimated_spread = Some(average_reached - delta as f64 / theta as f64);
+            deleted.push((src, dst));
+            deleted_src[src as usize] = true;
+            stats.rounds = round + 1;
         }
-        let Some(((src, dst), delta)) = best else {
-            estimated_spread = Some(average_reached);
-            break;
-        };
-        estimated_spread = Some(average_reached - delta as f64 / theta as f64);
-        deleted.insert((src, dst));
-        deleted_src[src as usize] = true;
-        blocked_edges.push((VertexId::from_raw(src), VertexId::from_raw(dst)));
-        stats.rounds = round + 1;
-    }
+        Ok(())
+    })?;
     stats.elapsed = start.elapsed();
     Ok(BlockerSelection {
         blockers: Vec::new(),
-        blocked_edges,
+        blocked_edges: deleted
+            .into_iter()
+            .map(|(src, dst)| (VertexId::from_raw(src), VertexId::from_raw(dst)))
+            .collect(),
         estimated_spread,
         stats,
     })
 }
 
 /// Greedy prebunking against a borrowed resident pool: every round prices
-/// candidates with [`pooled_prebunk_decrease`] under the prebunk set chosen
+/// candidates like [`pooled_prebunk_decrease`] under the prebunk set chosen
 /// so far, adds the best one, and finishes with one full evaluation pass so
 /// `estimated_spread` reflects the complete intervention (the per-round
 /// vertex credits are blocking credits — an upper bound on the prebunk
@@ -565,6 +362,9 @@ pub fn pooled_edge_greedy_in(
 /// With `replace` set (the GreedyReplace-flavoured variant), a reverse
 /// replacement sweep revisits each chosen vertex, mirroring Algorithm 4's
 /// phase 2 with the same early-termination rule.
+///
+/// Runs on this thread's [`with_pool_workspace`] scratch, so it must not
+/// be called from inside that function's closure.
 ///
 /// # Errors
 /// Returns an error on a zero budget, an empty/out-of-range seed set, a
@@ -579,58 +379,54 @@ pub fn pooled_prebunk_greedy_in(
     replace: bool,
 ) -> Result<BlockerSelection> {
     let start = Instant::now();
-    if budget == 0 {
-        return Err(IminError::ZeroBudget);
-    }
-    let n = pool.num_vertices();
-    if forbidden.len() != n {
-        return Err(IminError::Diffusion(
-            imin_diffusion::DiffusionError::MaskLengthMismatch {
-                mask_len: forbidden.len(),
-                num_vertices: n,
-            },
-        ));
-    }
+    validate_pooled_query(pool, forbidden, budget)?;
     Intervention::Prebunk { alpha }.validate()?;
-    let (_, is_seed) = stage_seeds(n, seeds)?;
+    let n = pool.num_vertices();
+    let timed = imin_obs::span::active();
     let mut prebunked = vec![false; n];
     let mut chosen_order: Vec<VertexId> = Vec::with_capacity(budget);
     let mut stats = SelectionStats::default();
-    for round in 0..budget {
-        let estimate = pooled_prebunk_decrease(pool, seeds, &prebunked, alpha, threads)?;
-        stats.samples_drawn += estimate.samples;
-        let chosen = estimate.best_candidate(|v| {
-            !is_seed[v.index()] && !prebunked[v.index()] && !forbidden[v.index()]
-        });
-        let Some(chosen) = chosen else { break };
-        prebunked[chosen.index()] = true;
-        chosen_order.push(chosen);
-        stats.rounds = round + 1;
-    }
-    if replace {
-        for idx in (0..chosen_order.len()).rev() {
-            let u = chosen_order[idx];
-            prebunked[u.index()] = false;
-            stats.rounds += 1;
-            let estimate = pooled_prebunk_decrease(pool, seeds, &prebunked, alpha, threads)?;
-            stats.samples_drawn += estimate.samples;
-            let chosen = estimate.best_candidate(|v| {
-                !is_seed[v.index()] && !prebunked[v.index()] && !forbidden[v.index()]
+    let final_estimate = with_pool_workspace(|workspace| -> Result<DecreaseEstimate> {
+        workspace.stage_seeds(n, seeds, None)?;
+        let estimate = |workspace: &mut PoolWorkspace, prebunked: &[bool]| {
+            workspace.decrease_estimate(pool, &PrebunkCut::new(pool, prebunked, alpha), threads)
+        };
+        for round in 0..budget {
+            let current = estimate(workspace, &prebunked);
+            stats.samples_drawn += current.samples;
+            let chosen = timed_best(&current, timed, |v| {
+                !workspace.is_seed(v) && !prebunked[v.index()] && !forbidden[v.index()]
             });
-            let Some(chosen) = chosen else {
-                prebunked[u.index()] = true;
-                break;
-            };
+            let Some(chosen) = chosen else { break };
             prebunked[chosen.index()] = true;
-            chosen_order[idx] = chosen;
-            if chosen == u {
-                break;
+            chosen_order.push(chosen);
+            stats.rounds = round + 1;
+        }
+        if replace {
+            for idx in (0..chosen_order.len()).rev() {
+                let u = chosen_order[idx];
+                prebunked[u.index()] = false;
+                stats.rounds += 1;
+                let current = estimate(workspace, &prebunked);
+                stats.samples_drawn += current.samples;
+                let chosen = timed_best(&current, timed, |v| {
+                    !workspace.is_seed(v) && !prebunked[v.index()] && !forbidden[v.index()]
+                });
+                let Some(chosen) = chosen else {
+                    prebunked[u.index()] = true;
+                    break;
+                };
+                prebunked[chosen.index()] = true;
+                chosen_order[idx] = chosen;
+                if chosen == u {
+                    break;
+                }
             }
         }
-    }
-    // One final pass with the complete prebunk set applied: the honest
-    // expected spread under the intervention, exact w.r.t. the pool+coins.
-    let final_estimate = pooled_prebunk_decrease(pool, seeds, &prebunked, alpha, threads)?;
+        // One final pass with the complete prebunk set applied: the honest
+        // expected spread under the intervention, exact w.r.t. the pool+coins.
+        Ok(estimate(workspace, &prebunked))
+    })?;
     stats.samples_drawn += final_estimate.samples;
     stats.elapsed = start.elapsed();
     Ok(BlockerSelection {
@@ -797,10 +593,15 @@ mod tests {
     fn edge_greedy_is_thread_count_invariant() {
         let g = wc_pa(300, 11);
         let pool = SamplePool::build(&g, 64, 9).unwrap();
-        let one = pooled_edge_greedy_in(&pool, &[vid(0), vid(5)], 4, 1, false).unwrap();
-        let four = pooled_edge_greedy_in(&pool, &[vid(0), vid(5)], 4, 4, false).unwrap();
-        assert_eq!(one.blocked_edges, four.blocked_edges);
-        assert_eq!(one.estimated_spread, four.estimated_spread);
+        for seed_first in [false, true] {
+            let one = pooled_edge_greedy_in(&pool, &[vid(0), vid(5)], 4, 1, seed_first).unwrap();
+            let four = pooled_edge_greedy_in(&pool, &[vid(0), vid(5)], 4, 4, seed_first).unwrap();
+            assert_eq!(
+                one.blocked_edges, four.blocked_edges,
+                "seed_first={seed_first}"
+            );
+            assert_eq!(one.estimated_spread, four.estimated_spread);
+        }
     }
 
     #[test]

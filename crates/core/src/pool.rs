@@ -19,6 +19,10 @@
 //!   blocked vertices, feeds the same Lengauer–Tarjan workspace the classic
 //!   path uses. A virtual root above the seeds plays the role of the
 //!   unified seed of §V without materialising a merged graph per query.
+//!   This is the only re-rooted-cascade kernel: edge blocking and
+//!   prebunking ([`crate::intervene`]) run it with their own *cut* (which
+//!   live edges the BFS drops) and *credit* rule (per vertex, or per sole
+//!   live in-edge).
 //! * [`pooled_advanced_greedy_in`] / [`pooled_greedy_replace_in`] are
 //!   Algorithms 3 and 4 on top of a borrowed pool: per-query work is only
 //!   re-rooting + dominator trees, which is what makes a resident engine
@@ -61,6 +65,7 @@ use imin_graph::{DiGraph, VertexId, THRESHOLD_ALWAYS};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -675,6 +680,75 @@ impl RootedCascade {
         self.vertices.push(global);
         local
     }
+
+    /// Adds `sizes[v]` to the credit of every sole live in-edge
+    /// `(pred, v)` of the first `reached` local vertices. Walking the CSR in
+    /// local order visits the edges in the order the BFS pushed them, so
+    /// `pred` is the first predecessor the BFS saw. Seeds never qualify:
+    /// their first in-edge comes from the virtual root.
+    fn credit_sole_in_edges(
+        &self,
+        reached: usize,
+        sizes: &[u64],
+        in_count: &mut Vec<u32>,
+        pred: &mut Vec<u32>,
+        edge_sum: &mut HashMap<(u32, u32), u64>,
+    ) {
+        in_count.clear();
+        in_count.resize(reached, 0);
+        pred.clear();
+        pred.resize(reached, VIRTUAL_ROOT);
+        for (u, window) in self.offsets[..=reached].windows(2).enumerate() {
+            for &t in &self.targets[window[0] as usize..window[1] as usize] {
+                in_count[t as usize] += 1;
+                if in_count[t as usize] == 1 {
+                    pred[t as usize] = self.vertices[u];
+                }
+            }
+        }
+        for v in 1..reached {
+            if in_count[v] == 1 && pred[v] != VIRTUAL_ROOT {
+                *edge_sum.entry((pred[v], self.vertices[v])).or_insert(0) += sizes[v];
+            }
+        }
+    }
+}
+
+/// How the kernel prices candidates from one cascade's dominator subtree
+/// sizes `size(v)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Credit {
+    /// `size(v)` per reached non-seed vertex `v`: removing `v` detaches
+    /// exactly the vertices it dominates.
+    Vertex,
+    /// `size(v)` per edge `(u, v)` that is `v`'s only live in-edge:
+    /// deleting it detaches exactly the vertices `v` dominates.
+    SoleInEdge,
+}
+
+/// What an intervention family removes from a stored realisation while the
+/// re-rooted BFS walks it, and how its candidates are credited. Each
+/// family is its own monomorphisation of the kernel, so the cut inlines
+/// into the BFS and the credit rule is resolved at compile time.
+pub(crate) trait Cut: Sync {
+    /// The credit rule the family's greedy loop consumes.
+    const CREDIT: Credit;
+
+    /// Whether the stored live edge `(u, t)` of realisation `sample`
+    /// survives the intervention.
+    fn keeps(&self, sample: usize, u: u32, t: u32) -> bool;
+}
+
+/// The paper's vertex blocking: a blocked vertex is never entered.
+pub(crate) struct VertexCut<'a>(pub(crate) &'a [bool]);
+
+impl Cut for VertexCut<'_> {
+    const CREDIT: Credit = Credit::Vertex;
+
+    #[inline]
+    fn keeps(&self, _sample: usize, _u: u32, t: u32) -> bool {
+        !self.0[t as usize]
+    }
 }
 
 /// Per-worker scratch for the pooled estimator: the re-rooted cascade
@@ -684,10 +758,18 @@ struct PoolWorkerScratch {
     cascade: RootedCascade,
     domtree: DomTreeWorkspace,
     sizes: Vec<u64>,
-    /// Integer subtree-size sums per global vertex. `u64` addition is
-    /// associative, so merging per-worker sums is order- and
-    /// thread-count-independent — the determinism contract of the pool.
+    /// Integer subtree-size sums per global vertex ([`Credit::Vertex`]).
+    /// `u64` addition is associative, so merging per-worker sums is
+    /// order- and thread-count-independent — the determinism contract of
+    /// the pool.
     delta_sum: Vec<u64>,
+    /// Integer subtree-size sums per sole live in-edge
+    /// ([`Credit::SoleInEdge`]), merged the same way.
+    edge_sum: HashMap<(u32, u32), u64>,
+    /// Live in-edge count and first live predecessor per local vertex of
+    /// the current cascade ([`Credit::SoleInEdge`] only).
+    in_count: Vec<u32>,
+    pred: Vec<u32>,
     reached_sum: u64,
     /// Nanoseconds spent in the decode / bfs / domtree / credit phases of
     /// the last `accumulate` call, estimated by profiling a prefix of the
@@ -796,11 +878,12 @@ impl PhaseSplit {
 }
 
 impl PoolWorkerScratch {
-    /// Re-roots every realisation in `range` at the seed set and
-    /// accumulates subtree sizes into `self.delta_sum`. Neighbour lists are
-    /// decoded through the pool's arena view — raw slices, varint streams
-    /// and bitset walks all feed the identical BFS, with zero steady-state
-    /// allocation.
+    /// Re-roots every realisation in `range` at the seed set, drops the
+    /// live edges `cut` removes, and accumulates the cut's credit into
+    /// `self.delta_sum` or `self.edge_sum`. Neighbour lists are decoded
+    /// through the pool's arena view — raw slices, varint streams and
+    /// bitset walks all feed the identical BFS over the reached region
+    /// only, with zero steady-state allocation.
     ///
     /// When `timed` is set, per-phase wall-clock nanoseconds are estimated
     /// into `self.phase_ns` by prefix profiling: the first
@@ -812,36 +895,41 @@ impl PoolWorkerScratch {
     /// uninstrumented query pays nothing. Both variants run the identical
     /// accumulation logic, so answers are byte-identical with timing on
     /// and off.
-    fn accumulate(
+    fn accumulate<C: Cut>(
         &mut self,
         pool: &SamplePool,
         seeds: &[u32],
         is_seed: &[bool],
-        blocked: &[bool],
+        cut: &C,
         range: Range<usize>,
         timed: bool,
     ) {
-        self.delta_sum.clear();
-        self.delta_sum.resize(pool.num_vertices, 0);
+        match C::CREDIT {
+            Credit::Vertex => {
+                self.delta_sum.clear();
+                self.delta_sum.resize(pool.num_vertices, 0);
+            }
+            Credit::SoleInEdge => self.edge_sum.clear(),
+        }
         self.reached_sum = 0;
         self.phase_ns = [0; 4];
         if timed {
             let split = PhaseSplit::begin();
             let profile_end = range.end.min(range.start + PROFILE_SAMPLES);
-            self.accumulate_impl::<true>(pool, seeds, is_seed, blocked, range.start..profile_end);
-            self.accumulate_impl::<false>(pool, seeds, is_seed, blocked, profile_end..range.end);
+            self.accumulate_impl::<true, C>(pool, seeds, is_seed, cut, range.start..profile_end);
+            self.accumulate_impl::<false, C>(pool, seeds, is_seed, cut, profile_end..range.end);
             split.split(&mut self.phase_ns);
         } else {
-            self.accumulate_impl::<false>(pool, seeds, is_seed, blocked, range);
+            self.accumulate_impl::<false, C>(pool, seeds, is_seed, cut, range);
         }
     }
 
-    fn accumulate_impl<const TIMED: bool>(
+    fn accumulate_impl<const TIMED: bool, C: Cut>(
         &mut self,
         pool: &SamplePool,
         seeds: &[u32],
         is_seed: &[bool],
-        blocked: &[bool],
+        cut: &C,
         range: Range<usize>,
     ) {
         let n = pool.num_vertices;
@@ -850,6 +938,9 @@ impl PoolWorkerScratch {
             domtree,
             sizes,
             delta_sum,
+            edge_sum,
+            in_count,
+            pred,
             reached_sum,
             phase_ns,
         } = self;
@@ -868,14 +959,14 @@ impl PoolWorkerScratch {
                 cascade.targets.push(local);
             }
             cascade.offsets.push(cascade.targets.len() as u32);
-            // Multi-source BFS over the stored live edges; only blocked
-            // vertices are filtered — the coins were flipped at build time.
+            // Multi-source BFS over the stored live edges; only the cut
+            // filters — the coins were flipped at build time.
             let mut head = 1usize;
             while head < cascade.vertices.len() {
                 let u_global = cascade.vertices[head];
                 head += 1;
                 view.for_each_live(u_global, |t| {
-                    if blocked[t as usize] {
+                    if !cut.keeps(idx, u_global, t) {
                         return;
                     }
                     let t_local = cascade.intern(t);
@@ -904,11 +995,20 @@ impl PoolWorkerScratch {
                 lap(&mut mark, &mut phase_ns[PN_DOMTREE]);
             }
             tree.subtree_sizes_into(sizes);
-            for (&global, &size) in cascade.vertices[1..reached].iter().zip(&sizes[1..reached]) {
-                if is_seed[global as usize] {
-                    continue;
+            match C::CREDIT {
+                Credit::Vertex => {
+                    for (&global, &size) in
+                        cascade.vertices[1..reached].iter().zip(&sizes[1..reached])
+                    {
+                        if is_seed[global as usize] {
+                            continue;
+                        }
+                        delta_sum[global as usize] += size;
+                    }
                 }
-                delta_sum[global as usize] += size;
+                Credit::SoleInEdge => {
+                    cascade.credit_sole_in_edges(reached, sizes, in_count, pred, edge_sum)
+                }
             }
             if TIMED {
                 lap(&mut mark, &mut phase_ns[PN_CREDIT]);
@@ -954,9 +1054,21 @@ impl PoolWorkspace {
         Self::default()
     }
 
+    /// Whether `v` is in the seed set staged last.
+    pub(crate) fn is_seed(&self, v: VertexId) -> bool {
+        self.is_seed[v.index()]
+    }
+
     /// Canonicalises (sorts, dedups, validates) the query seed set into the
-    /// workspace buffers.
-    fn stage_seeds(&mut self, n: usize, seeds: &[VertexId], blocked: &[bool]) -> Result<()> {
+    /// workspace buffers. `blocked` is the vertex-blocking mask a seed may
+    /// not overlap; the other families pass `None` (a prebunk mask may
+    /// cover a seed).
+    pub(crate) fn stage_seeds(
+        &mut self,
+        n: usize,
+        seeds: &[VertexId],
+        blocked: Option<&[bool]>,
+    ) -> Result<()> {
         if seeds.is_empty() {
             return Err(IminError::EmptySeedSet);
         }
@@ -976,7 +1088,7 @@ impl PoolWorkspace {
                     num_vertices: n,
                 });
             }
-            if blocked[s.index()] {
+            if blocked.is_some_and(|blocked| blocked[s.index()]) {
                 return Err(IminError::ForbiddenSeedOverlap { vertex: s.index() });
             }
             self.seeds.push(s.raw());
@@ -988,6 +1100,134 @@ impl PoolWorkspace {
         }
         Ok(())
     }
+
+    /// Runs the re-rooted-cascade kernel under `cut` over all θ
+    /// realisations of `pool` for the staged seeds, sharded across
+    /// `threads` workers, and hands the merged sums to `finish`.
+    ///
+    /// Every family's greedy loop goes through here. When the caller's
+    /// span is active, the workers' decode / bfs / domtree / credit time
+    /// and the merge (under credit) land in it, and `finish` is timed
+    /// under `finish_phase`.
+    pub(crate) fn run<C: Cut, R>(
+        &mut self,
+        pool: &SamplePool,
+        cut: &C,
+        threads: usize,
+        finish_phase: imin_obs::Phase,
+        finish: impl FnOnce(PassSums<'_>) -> R,
+    ) -> R {
+        use imin_obs::{span, Phase};
+        let theta = pool.theta();
+        let threads = threads.max(1).min(theta);
+        // Sampled on the calling thread: workers collect plain nanosecond
+        // slots, and only the caller's span (if any) aggregates them.
+        let timed = span::active();
+        let PoolWorkspace {
+            workers,
+            seeds,
+            is_seed,
+        } = self;
+        if workers.len() < threads {
+            workers.resize_with(threads, PoolWorkerScratch::default);
+        }
+        let workers = &mut workers[..threads];
+        let (seeds, is_seed) = (&*seeds, &*is_seed);
+        if threads <= 1 {
+            workers[0].accumulate(pool, seeds, is_seed, cut, 0..theta, timed);
+        } else {
+            crossbeam::scope(|scope| {
+                for (worker, range) in workers.iter_mut().zip(shard_ranges(theta, threads)) {
+                    scope
+                        .spawn(move |_| worker.accumulate(pool, seeds, is_seed, cut, range, timed));
+                }
+            })
+            .expect("pooled-estimator worker panicked");
+        }
+        let merge_start = timed.then(Instant::now);
+        // Integer merge: order-independent, hence thread-count-independent.
+        let (first, rest) = workers.split_at_mut(1);
+        let first = &mut first[0];
+        for worker in rest.iter() {
+            first.reached_sum += worker.reached_sum;
+            match C::CREDIT {
+                Credit::Vertex => {
+                    for (acc, &d) in first.delta_sum.iter_mut().zip(&worker.delta_sum) {
+                        *acc += d;
+                    }
+                }
+                Credit::SoleInEdge => {
+                    for (&edge, &d) in &worker.edge_sum {
+                        *first.edge_sum.entry(edge).or_insert(0) += d;
+                    }
+                }
+            }
+        }
+        let finish_start = timed.then(Instant::now);
+        let out = finish(PassSums {
+            reached: first.reached_sum,
+            vertex: &first.delta_sum,
+            edges: &first.edge_sum,
+            is_seed,
+        });
+        if let (Some(merge_start), Some(finish_start)) = (merge_start, finish_start) {
+            for worker in workers.iter() {
+                span::add_ns(Phase::Decode, worker.phase_ns[PN_DECODE]);
+                span::add_ns(Phase::Bfs, worker.phase_ns[PN_BFS]);
+                span::add_ns(Phase::DomTree, worker.phase_ns[PN_DOMTREE]);
+                span::add_ns(Phase::Credit, worker.phase_ns[PN_CREDIT]);
+            }
+            let merge_ns = finish_start.duration_since(merge_start).as_nanos() as u64;
+            span::add_ns(Phase::Credit, merge_ns);
+            span::add_ns(finish_phase, finish_start.elapsed().as_nanos() as u64);
+        }
+        out
+    }
+
+    /// A [`Credit::Vertex`] pass as a [`DecreaseEstimate`], finalised
+    /// under the credit phase.
+    pub(crate) fn decrease_estimate<C: Cut>(
+        &mut self,
+        pool: &SamplePool,
+        cut: &C,
+        threads: usize,
+    ) -> DecreaseEstimate {
+        let theta = pool.theta();
+        let inv = 1.0 / theta as f64;
+        self.run(pool, cut, threads, imin_obs::Phase::Credit, |sums| {
+            DecreaseEstimate {
+                delta: sums.vertex.iter().map(|&d| d as f64 * inv).collect(),
+                average_reached: sums.reached as f64 * inv,
+                samples: theta,
+            }
+        })
+    }
+}
+
+/// The merged integer sums of one kernel pass over the whole pool.
+pub(crate) struct PassSums<'a> {
+    /// Reached vertices over all realisations: every reached seed counts,
+    /// the virtual root does not.
+    pub(crate) reached: u64,
+    /// Per-vertex credit of a [`Credit::Vertex`] cut.
+    pub(crate) vertex: &'a [u64],
+    /// Per-edge credit of a [`Credit::SoleInEdge`] cut.
+    pub(crate) edges: &'a HashMap<(u32, u32), u64>,
+    /// Membership mask of the staged seeds.
+    pub(crate) is_seed: &'a [bool],
+}
+
+/// Rejects a per-vertex mask whose length is not the pool's vertex count.
+pub(crate) fn check_mask_len(pool: &SamplePool, mask: &[bool]) -> Result<()> {
+    if mask.len() != pool.num_vertices() {
+        return Err(IminError::Diffusion(
+            imin_diffusion::DiffusionError::MaskLengthMismatch {
+                mask_len: mask.len(),
+                num_vertices: pool.num_vertices(),
+            },
+        ));
+    }
+    Ok(())
 }
 
 /// Algorithm 2 against a resident pool: estimates the spread decrease of
@@ -1011,74 +1251,9 @@ pub fn pooled_decrease_in(
     threads: usize,
     workspace: &mut PoolWorkspace,
 ) -> Result<DecreaseEstimate> {
-    let n = pool.num_vertices();
-    if blocked.len() != n {
-        return Err(IminError::Diffusion(
-            imin_diffusion::DiffusionError::MaskLengthMismatch {
-                mask_len: blocked.len(),
-                num_vertices: n,
-            },
-        ));
-    }
-    workspace.stage_seeds(n, seeds, blocked)?;
-    let theta = pool.theta();
-    let threads = threads.max(1).min(theta);
-    // Sampled on the calling thread: workers collect plain nanosecond
-    // slots, and only the caller's span (if any) aggregates them.
-    let timed = imin_obs::span::active();
-    let PoolWorkspace {
-        workers,
-        seeds: staged,
-        is_seed,
-    } = workspace;
-    if workers.len() < threads {
-        workers.resize_with(threads, PoolWorkerScratch::default);
-    }
-    let workers = &mut workers[..threads];
-    if threads <= 1 {
-        workers[0].accumulate(pool, staged, is_seed, blocked, 0..theta, timed);
-    } else {
-        crossbeam::scope(|scope| {
-            for (worker, range) in workers.iter_mut().zip(shard_ranges(theta, threads)) {
-                let (staged, is_seed) = (&*staged, &*is_seed);
-                scope.spawn(move |_| {
-                    worker.accumulate(pool, staged, is_seed, blocked, range, timed)
-                });
-            }
-        })
-        .expect("pooled-estimator worker panicked");
-    }
-    let merge_start = timed.then(Instant::now);
-    // Integer merge: order-independent, hence thread-count-independent.
-    let (first, rest) = workers.split_at_mut(1);
-    let delta_sum = &mut first[0].delta_sum;
-    let mut reached_total = first[0].reached_sum;
-    for worker in rest.iter() {
-        reached_total += worker.reached_sum;
-        for (acc, &d) in delta_sum.iter_mut().zip(&worker.delta_sum) {
-            *acc += d;
-        }
-    }
-    let inv = 1.0 / theta as f64;
-    let estimate = DecreaseEstimate {
-        delta: delta_sum.iter().map(|&d| d as f64 * inv).collect(),
-        average_reached: reached_total as f64 * inv,
-        samples: theta,
-    };
-    if timed {
-        use imin_obs::{span, Phase};
-        for worker in workers.iter() {
-            span::add_ns(Phase::Decode, worker.phase_ns[PN_DECODE]);
-            span::add_ns(Phase::Bfs, worker.phase_ns[PN_BFS]);
-            span::add_ns(Phase::DomTree, worker.phase_ns[PN_DOMTREE]);
-            span::add_ns(Phase::Credit, worker.phase_ns[PN_CREDIT]);
-        }
-        if let Some(start) = merge_start {
-            // Merge + finalisation scale with n, like credit accumulation.
-            span::add_ns(Phase::Credit, start.elapsed().as_nanos() as u64);
-        }
-    }
-    Ok(estimate)
+    check_mask_len(pool, blocked)?;
+    workspace.stage_seeds(pool.num_vertices(), seeds, Some(blocked))?;
+    Ok(workspace.decrease_estimate(pool, &VertexCut(blocked), threads))
 }
 
 /// One-shot convenience over [`pooled_decrease_in`] with a fresh workspace.
@@ -1096,7 +1271,7 @@ pub fn pooled_decrease(
 
 /// `DecreaseEstimate::best_candidate` with the scan attributed to the
 /// `select` phase of the caller's span when `timed` is set.
-fn timed_best(
+pub(crate) fn timed_best(
     estimate: &DecreaseEstimate,
     timed: bool,
     pred: impl Fn(VertexId) -> bool,
@@ -1111,19 +1286,15 @@ fn timed_best(
 }
 
 /// Validates the query-shaped inputs shared by the pooled greedy loops.
-fn validate_pooled_query(pool: &SamplePool, forbidden: &[bool], budget: usize) -> Result<()> {
+pub(crate) fn validate_pooled_query(
+    pool: &SamplePool,
+    forbidden: &[bool],
+    budget: usize,
+) -> Result<()> {
     if budget == 0 {
         return Err(IminError::ZeroBudget);
     }
-    if forbidden.len() != pool.num_vertices() {
-        return Err(IminError::Diffusion(
-            imin_diffusion::DiffusionError::MaskLengthMismatch {
-                mask_len: forbidden.len(),
-                num_vertices: pool.num_vertices(),
-            },
-        ));
-    }
-    Ok(())
+    check_mask_len(pool, forbidden)
 }
 
 /// AdvancedGreedy (Algorithm 3) against a borrowed resident pool.
@@ -1207,7 +1378,7 @@ pub fn pooled_greedy_replace_in(
 
     // Stage once to build the seed mask for candidate filtering; the
     // estimator re-stages per round (cheap — the buffers are reused).
-    workspace.stage_seeds(n, seeds, &blocked)?;
+    workspace.stage_seeds(n, seeds, Some(&blocked))?;
     let eligible = |v: VertexId, blocked: &[bool], is_seed: &[bool]| {
         !is_seed[v.index()] && !blocked[v.index()] && !forbidden[v.index()]
     };

@@ -8,7 +8,9 @@ use imin_core::snapshot::{
     load_snapshot, map_snapshot, peek_header, pool_digest, save_snapshot, save_snapshot_v1,
     SnapshotError, FORMAT_VERSION,
 };
-use imin_core::{ArenaKind, IminError, SamplePool};
+use imin_core::{
+    pooled_edge_greedy_in, pooled_prebunk_greedy_in, ArenaKind, IminError, SamplePool,
+};
 use imin_diffusion::ProbabilityModel;
 use imin_graph::{generators, DiGraph, VertexId};
 use std::path::PathBuf;
@@ -371,6 +373,36 @@ fn mapped_snapshots_serve_byte_identical_queries() {
             assert_eq!(sel.blockers, reference.blockers, "{tag} threads={threads}");
             assert_eq!(sel.estimated_spread, reference.estimated_spread);
         }
+    }
+}
+
+#[test]
+fn mapped_snapshots_serve_byte_identical_edge_and_prebunk_queries() {
+    let graph = wc_pa(150, 7);
+    let pool = SamplePool::build_with_threads(&graph, 40, 99, 2).unwrap();
+    let seeds = [VertexId::new(0), VertexId::new(3)];
+    let forbidden = vec![false; graph.num_vertices()];
+    let tmp = TempSnap::new("map-families");
+    save_snapshot(&tmp.0, &graph, &pool, "pa-150/wc").unwrap();
+    let mapped = map_snapshot(&tmp.0).unwrap().pool;
+    assert_eq!(mapped.arena_kind(), ArenaKind::MappedRaw);
+    for seed_first in [false, true] {
+        let expect = pooled_edge_greedy_in(&pool, &seeds, 3, 1, seed_first).unwrap();
+        let got = pooled_edge_greedy_in(&mapped, &seeds, 3, 2, seed_first).unwrap();
+        assert!(!expect.blocked_edges.is_empty());
+        assert_eq!(
+            got.blocked_edges, expect.blocked_edges,
+            "seed_first={seed_first}"
+        );
+        assert_eq!(got.estimated_spread, expect.estimated_spread);
+    }
+    for replace in [false, true] {
+        let expect =
+            pooled_prebunk_greedy_in(&pool, &seeds, &forbidden, 3, 0.2, 1, replace).unwrap();
+        let got =
+            pooled_prebunk_greedy_in(&mapped, &seeds, &forbidden, 3, 0.2, 2, replace).unwrap();
+        assert_eq!(got.blockers, expect.blockers, "replace={replace}");
+        assert_eq!(got.estimated_spread, expect.estimated_spread);
     }
 }
 

@@ -1,12 +1,13 @@
 //! End-to-end observability checks:
 //!
-//! * **Byte identity** — blocker selections are identical with tracing on,
-//!   tracing off (`--no-obs`), and on the serial single-threaded engine,
-//!   over both raw and compressed arenas. Observability must never change
-//!   an answer.
+//! * **Byte identity** — blocker selections (vertex, edge and prebunk)
+//!   are identical with tracing on, tracing off (`--no-obs`), and on the
+//!   serial single-threaded engine, over both raw and compressed arenas.
+//!   Observability must never change an answer.
 //! * **Trace accounting** — on a single-query-thread engine, a traced
 //!   query's phase times sum to within 10% of its reported elapsed time
-//!   (wall clock == CPU time only when one thread computes).
+//!   (wall clock == CPU time only when one thread computes), for every
+//!   intervention family.
 //! * **Wire format** — `QUERY … trace=1` replies carry `trace_id=`,
 //!   `disposition=` and all eight query-phase keys; `METRICS` over real
 //!   TCP parses as Prometheus exposition; a snapshot restore records the
@@ -60,30 +61,41 @@ fn blocker_selections_are_byte_identical_with_observability_on_and_off() {
             on.compress_pool().unwrap();
             off.compress_pool().unwrap();
         }
-        for (seed, budget, algorithm) in [
-            (0, 3, QueryAlgorithm::AdvancedGreedy),
-            (7, 2, QueryAlgorithm::GreedyReplace),
-            (23, 4, QueryAlgorithm::AdvancedGreedy),
+        for intervention in [
+            imin_core::Intervention::BlockVertices,
+            imin_core::Intervention::BlockEdges,
+            imin_core::Intervention::Prebunk { alpha: 0.2 },
         ] {
-            let q = Query {
-                seeds: vec![VertexId::new(seed)],
-                budget,
-                algorithm,
-                intervention: imin_core::Intervention::BlockVertices,
-            };
-            let expect = serial.query(&q).unwrap();
-            let traced = on.query(&q).unwrap();
-            let untraced = off.query(&q).unwrap();
-            assert_eq!(
-                traced.blockers, expect.blockers,
-                "{arena}: tracing must not change the answer"
-            );
-            assert_eq!(
-                untraced.blockers, expect.blockers,
-                "{arena}: --no-obs must not change the answer"
-            );
-            assert_eq!(traced.estimated_spread, expect.estimated_spread);
-            assert_eq!(untraced.estimated_spread, expect.estimated_spread);
+            for (seed, budget, algorithm) in [
+                (0, 3, QueryAlgorithm::AdvancedGreedy),
+                (7, 2, QueryAlgorithm::GreedyReplace),
+                (23, 4, QueryAlgorithm::AdvancedGreedy),
+            ] {
+                let q = Query {
+                    seeds: vec![VertexId::new(seed)],
+                    budget,
+                    algorithm,
+                    intervention,
+                };
+                let expect = serial.query(&q).unwrap();
+                let traced = on.query(&q).unwrap();
+                let untraced = off.query(&q).unwrap();
+                assert_eq!(
+                    traced.blockers, expect.blockers,
+                    "{arena} {intervention}: tracing must not change the answer"
+                );
+                assert_eq!(
+                    untraced.blockers, expect.blockers,
+                    "{arena} {intervention}: --no-obs must not change the answer"
+                );
+                assert_eq!(
+                    traced.blocked_edges, expect.blocked_edges,
+                    "{arena} {intervention}"
+                );
+                assert_eq!(untraced.blocked_edges, expect.blocked_edges);
+                assert_eq!(traced.estimated_spread, expect.estimated_spread);
+                assert_eq!(untraced.estimated_spread, expect.estimated_spread);
+            }
         }
     }
 }
@@ -98,15 +110,27 @@ fn traced_phase_times_sum_close_to_the_reported_elapsed_time() {
     engine.load_graph(wc_graph(2000, 17), "sum-check".into());
     engine.ensure_pool(1500, 5).unwrap();
 
-    let result = engine.query(&query(1, 4)).unwrap();
-    let phases = result.phases.expect("observability is on by default");
-    let total = phases.total_us() as f64;
-    let elapsed = result.elapsed.as_micros() as f64;
-    assert!(
-        total >= 0.9 * elapsed && total <= 1.1 * elapsed,
-        "phase sum {total}µs must be within 10% of elapsed {elapsed}µs"
-    );
-    assert!(result.trace_id > 0, "computed queries get a trace id");
+    // Every intervention family runs the same instrumented kernel, so
+    // edge and prebunk queries must account for their time as well.
+    for intervention in [
+        imin_core::Intervention::BlockVertices,
+        imin_core::Intervention::BlockEdges,
+        imin_core::Intervention::Prebunk { alpha: 0.2 },
+    ] {
+        let q = Query {
+            intervention,
+            ..query(1, 4)
+        };
+        let result = engine.query(&q).unwrap();
+        let phases = result.phases.expect("observability is on by default");
+        let total = phases.total_us() as f64;
+        let elapsed = result.elapsed.as_micros() as f64;
+        assert!(
+            total >= 0.9 * elapsed && total <= 1.1 * elapsed,
+            "{intervention}: phase sum {total}µs must be within 10% of elapsed {elapsed}µs"
+        );
+        assert!(result.trace_id > 0, "computed queries get a trace id");
+    }
 }
 
 #[test]

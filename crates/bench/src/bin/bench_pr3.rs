@@ -24,7 +24,7 @@
 use imin_core::advanced_greedy::advanced_greedy;
 use imin_core::{AlgorithmConfig, SamplePool};
 use imin_diffusion::ProbabilityModel;
-use imin_engine::{Engine, Query, QueryAlgorithm};
+use imin_engine::{Query, QueryAlgorithm, SharedEngine};
 use imin_graph::{generators, VertexId};
 use std::io::Write;
 use std::time::Instant;
@@ -66,7 +66,7 @@ fn main() {
     );
 
     // ---- Engine: cold (pool build + first query) --------------------------
-    let mut engine = Engine::new().with_threads(1);
+    let engine = SharedEngine::new().with_threads(1);
     engine.load_graph(graph.clone(), "pa-50k/WC".into());
     let hot_query = Query {
         seeds: vec![source],
@@ -75,12 +75,8 @@ fn main() {
         intervention: imin_core::Intervention::BlockVertices,
     };
     let start = Instant::now();
-    engine.build_pool(THETA, 7).expect("pool build");
-    let pool_build_secs = engine
-        .pool_info()
-        .expect("pool info")
-        .build_time
-        .as_secs_f64();
+    let (info, _) = engine.ensure_pool(THETA, 7).expect("pool build");
+    let pool_build_secs = info.build_time.as_secs_f64();
     let first = engine.query(&hot_query).expect("first query");
     let engine_cold_secs = start.elapsed().as_secs_f64();
     let first_query_secs = first.elapsed.as_secs_f64();

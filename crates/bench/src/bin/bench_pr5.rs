@@ -36,7 +36,7 @@
 use imin_core::snapshot::pool_digest;
 use imin_core::SamplePool;
 use imin_diffusion::ProbabilityModel;
-use imin_engine::{Engine, PoolAction, Query, QueryAlgorithm, QueryResult};
+use imin_engine::{PoolAction, Query, QueryAlgorithm, QueryResult, SharedEngine};
 use imin_graph::{generators, VertexId};
 use std::io::Write;
 use std::time::Instant;
@@ -81,7 +81,7 @@ fn main() {
     };
 
     // ---- Act 1: the cold rebuild a restarted server used to pay ----------
-    let mut cold = Engine::new().with_threads(1);
+    let cold = SharedEngine::new().with_threads(1);
     cold.load_graph(graph.clone(), "pa-50k/WC".into());
     let (info, action) = cold.ensure_pool(THETA, POOL_SEED).expect("pool build");
     assert_eq!(action, PoolAction::Built);
@@ -96,7 +96,7 @@ fn main() {
         "query before save: {query_secs:.3}s, spread {:.1}",
         before.estimated_spread.unwrap_or(f64::NAN)
     );
-    let fresh_digest = pool_digest(cold.pool().expect("resident pool"));
+    let fresh_digest = pool_digest(&cold.view().pool.expect("resident pool"));
 
     // ---- Act 2: SAVE, "restart", RESTORE ----------------------------------
     let start = Instant::now();
@@ -115,14 +115,14 @@ fn main() {
     // disk.
     let _ = std::process::Command::new("sync").status();
 
-    let mut warm = Engine::new().with_threads(1);
+    let warm = SharedEngine::new().with_threads(1);
     let info = warm
         .restore_snapshot(&snapshot_path)
         .expect("restore snapshot");
     let snapshot_restore_first_secs = info.build_time.as_secs_f64();
     eprintln!("snapshot restore, first: {snapshot_restore_first_secs:.3}s");
     assert_eq!(
-        pool_digest(warm.pool().expect("restored pool")),
+        pool_digest(&warm.view().pool.expect("restored pool")),
         fresh_digest,
         "restored arenas must be byte-identical"
     );
@@ -144,7 +144,7 @@ fn main() {
     // shed scheduler/hypervisor noise.
     let mut snapshot_restore_secs = f64::INFINITY;
     for round in 0..3 {
-        let mut warm2 = Engine::new().with_threads(1);
+        let warm2 = SharedEngine::new().with_threads(1);
         let info = warm2
             .restore_snapshot(&snapshot_path)
             .expect("steady-state restore");
@@ -152,7 +152,7 @@ fn main() {
         eprintln!("snapshot restore, steady-state round {round}: {secs:.3}s");
         snapshot_restore_secs = snapshot_restore_secs.min(secs);
         assert_eq!(
-            pool_digest(warm2.pool().expect("restored pool")),
+            pool_digest(&warm2.view().pool.expect("restored pool")),
             fresh_digest
         );
     }
@@ -164,14 +164,14 @@ fn main() {
     // biases the headline ratio conservatively downward).
     let mut pool_build_secs = f64::INFINITY;
     for round in 0..2 {
-        let mut rebuilt = Engine::new().with_threads(1);
+        let rebuilt = SharedEngine::new().with_threads(1);
         rebuilt.load_graph(graph.clone(), "pa-50k/WC".into());
         let (info, _) = rebuilt.ensure_pool(THETA, POOL_SEED).expect("warm rebuild");
         let secs = info.build_time.as_secs_f64();
         eprintln!("pool build, steady-state round {round} (θ={THETA}, 1 thread): {secs:.3}s");
         pool_build_secs = pool_build_secs.min(secs);
         assert_eq!(
-            pool_digest(rebuilt.pool().expect("rebuilt pool")),
+            pool_digest(&rebuilt.view().pool.expect("rebuilt pool")),
             fresh_digest
         );
     }

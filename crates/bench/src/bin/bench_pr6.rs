@@ -16,10 +16,11 @@
 //!   computation per round, `coalesced` counter strictly increasing.
 //!
 //! A 32-way stress phase then replays its mixed schedule against a fresh
-//! single-threaded [`Engine`] oracle and asserts every `blockers=` /
-//! `spread=` pair is **byte-identical** — concurrency must be invisible in
-//! the answers. Admission control is asserted quiet throughout
-//! (`rejected=0` when the budget is not oversubscribed).
+//! single-threaded [`SharedEngine`] oracle, driven from one thread, and
+//! asserts every `blockers=` / `spread=` pair is **byte-identical** —
+//! concurrency must be invisible in the answers. Admission control is
+//! asserted quiet throughout (`rejected=0` when the budget is not
+//! oversubscribed).
 //!
 //! Emits `BENCH_PR6.json` in the repository root (override the directory
 //! with `IMIN_BENCH_OUT`). Knobs (env): `IMIN_PR6_N`, `IMIN_PR6_THETA`,
@@ -36,7 +37,7 @@
 
 use imin_diffusion::ProbabilityModel;
 use imin_engine::protocol::{parse_request, payload_field, payload_fields, Request};
-use imin_engine::{Client, Engine, Server, SharedEngine};
+use imin_engine::{Client, Server, SharedEngine};
 use imin_graph::{generators, DiGraph};
 use std::collections::HashMap;
 use std::io::Write;
@@ -364,9 +365,9 @@ fn main() {
         edges,
         "oracle graph must match the server's"
     );
-    let mut oracle = Engine::new().with_threads(1);
+    let oracle = SharedEngine::new().with_threads(1);
     oracle.load_graph(oracle_graph, "oracle".into());
-    oracle.build_pool(cfg.theta, 7).expect("oracle pool");
+    oracle.ensure_pool(cfg.theta, 7).expect("oracle pool");
     for (line, blockers, spread) in &stress_answers {
         let Ok(Request::Query { query, .. }) = parse_request(line) else {
             panic!("stress line must parse: {line}");

@@ -24,7 +24,7 @@
 //!   box). Override the bound with `IMIN_PR8_MAX_OVERHEAD` (fraction,
 //!   default `0.03`).
 //! * **byte identity** — every answer from the timed and untimed passes,
-//!   and from a fresh single-threaded serial [`Engine`], is identical:
+//!   and from a fresh single-threaded serial [`SharedEngine`], is identical:
 //!   observability must never change a blocker or a spread estimate.
 //! * **trace accounting** — a heavy traced query's phase times sum to
 //!   within 10% of its reported elapsed time (query_threads=1, so phase
@@ -38,7 +38,7 @@
 //! Run with: `cargo run --release -p imin-bench --bin bench_pr8`
 
 use imin_diffusion::ProbabilityModel;
-use imin_engine::{AlgorithmKind, Disposition, Engine, Phase, Query, SharedEngine};
+use imin_engine::{AlgorithmKind, Disposition, Phase, Query, SharedEngine};
 use imin_graph::{generators, DiGraph, VertexId};
 use std::io::Write;
 use std::time::Instant;
@@ -256,9 +256,9 @@ fn main() {
         answers_on, answers_off,
         "instrumented and uninstrumented answers must be byte-identical"
     );
-    let mut serial = Engine::new().with_threads(1);
+    let serial = SharedEngine::new().with_threads(1);
     serial.load_graph(graph, "bench-pr8".into());
-    serial.build_pool(cfg.theta, 7).expect("serial pool");
+    serial.ensure_pool(cfg.theta, 7).expect("serial pool");
     let oracle_checks = batch.len().min(6);
     for (query, expect) in batch.iter().zip(&answers_on).take(oracle_checks) {
         let result = serial.query(query).expect("serial query");

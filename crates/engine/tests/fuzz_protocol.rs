@@ -15,6 +15,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// Valid lines the mutation and truncation generators start from. `QUIT`
 /// is deliberately absent: it is the one verb allowed to close the
@@ -269,5 +270,44 @@ fn invalid_utf8_over_tcp_gets_an_err_reply_and_keeps_the_connection() {
 
     // And the server as a whole is healthy for fresh connections too.
     let mut probe = Client::connect(addr).expect("second connection");
+    assert_eq!(probe.send_raw("PING").expect("ping"), "OK pong");
+}
+
+#[test]
+fn a_line_longer_than_one_mib_is_refused_and_only_its_connection_closes() {
+    let addr = Server::bind("127.0.0.1:0")
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+    let stream = TcpStream::connect(addr).expect("connect");
+    // A server that buffers the whole line never answers: time out
+    // instead of hanging.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    // 2 MiB without a newline, from its own thread: the server stops
+    // reading at 1 MiB, so this write may fail once it hangs up.
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'A'; 2 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("a reply before the read timeout");
+    assert_eq!(reply, "ERR line too long (max 1048576 bytes)\n");
+    // ...then hangs up: end of stream, or a reset because the rest of the
+    // flood was never read.
+    let mut rest = String::new();
+    match reader.read_line(&mut rest) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("connection still open after the ERR: {other:?} {rest:?}"),
+    }
+    flood.join().expect("flood thread");
+
+    // Other connections are unaffected.
+    let mut probe = Client::connect(addr).expect("fresh connection");
     assert_eq!(probe.send_raw("PING").expect("ping"), "OK pong");
 }

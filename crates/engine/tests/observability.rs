@@ -1,8 +1,8 @@
 //! End-to-end observability checks:
 //!
 //! * **Byte identity** — blocker selections (vertex, edge and prebunk)
-//!   are identical with tracing on, tracing off (`--no-obs`), and on the
-//!   serial single-threaded engine, over both raw and compressed arenas.
+//!   are identical with tracing on and tracing off (`--no-obs`, the
+//!   span-free reference), over both raw and compressed arenas.
 //!   Observability must never change an answer.
 //! * **Trace accounting** — on a single-query-thread engine, a traced
 //!   query's phase times sum to within 10% of its reported elapsed time
@@ -14,9 +14,7 @@
 //!   snapshot phases; the access log emits one well-formed line per
 //!   request.
 
-use imin_engine::{
-    AccessLog, Client, Engine, LogFormat, Query, QueryAlgorithm, Server, SharedEngine,
-};
+use imin_engine::{AccessLog, Client, LogFormat, Query, QueryAlgorithm, Server, SharedEngine};
 use imin_graph::{generators, DiGraph, VertexId};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -40,10 +38,6 @@ fn query(seed: usize, budget: usize) -> Query {
 fn blocker_selections_are_byte_identical_with_observability_on_and_off() {
     let graph = wc_graph(600, 13);
 
-    let mut serial = Engine::new().with_threads(1);
-    serial.load_graph(graph.clone(), "parity".into());
-    serial.build_pool(400, 5).unwrap();
-
     let on = SharedEngine::new().with_threads(1);
     on.load_graph(graph.clone(), "parity".into());
     on.ensure_pool(400, 5).unwrap();
@@ -51,13 +45,12 @@ fn blocker_selections_are_byte_identical_with_observability_on_and_off() {
     let off = SharedEngine::new()
         .with_threads(1)
         .with_observability(false);
-    off.load_graph(graph.clone(), "parity".into());
+    off.load_graph(graph, "parity".into());
     off.ensure_pool(400, 5).unwrap();
 
     // Raw arena first, then the compressed re-encoding of the same pool.
     for arena in ["raw", "compressed"] {
         if arena == "compressed" {
-            serial.compress_pool().unwrap();
             on.compress_pool().unwrap();
             off.compress_pool().unwrap();
         }
@@ -77,24 +70,18 @@ fn blocker_selections_are_byte_identical_with_observability_on_and_off() {
                     algorithm,
                     intervention,
                 };
-                let expect = serial.query(&q).unwrap();
                 let traced = on.query(&q).unwrap();
                 let untraced = off.query(&q).unwrap();
+                assert!(untraced.phases.is_none(), "the reference runs span-free");
                 assert_eq!(
-                    traced.blockers, expect.blockers,
+                    traced.blockers, untraced.blockers,
                     "{arena} {intervention}: tracing must not change the answer"
                 );
                 assert_eq!(
-                    untraced.blockers, expect.blockers,
-                    "{arena} {intervention}: --no-obs must not change the answer"
-                );
-                assert_eq!(
-                    traced.blocked_edges, expect.blocked_edges,
+                    traced.blocked_edges, untraced.blocked_edges,
                     "{arena} {intervention}"
                 );
-                assert_eq!(untraced.blocked_edges, expect.blocked_edges);
-                assert_eq!(traced.estimated_spread, expect.estimated_spread);
-                assert_eq!(untraced.estimated_spread, expect.estimated_spread);
+                assert_eq!(traced.estimated_spread, untraced.estimated_spread);
             }
         }
     }

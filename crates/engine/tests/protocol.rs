@@ -2,10 +2,10 @@
 //! port, driven through the `imin-cli` client library. Parse errors must
 //! come back as `ERR <reason>` lines without dropping the connection.
 
-use imin_engine::{Client, Engine, QueryAlgorithm, Server};
+use imin_engine::{Client, QueryAlgorithm, Server, SharedEngine};
 
 fn spawn_server() -> std::net::SocketAddr {
-    Server::with_engine("127.0.0.1:0", Engine::new().with_threads(2))
+    Server::with_shared("127.0.0.1:0", SharedEngine::new().with_threads(2))
         .expect("bind ephemeral port")
         .spawn()
         .expect("spawn server")

@@ -12,7 +12,7 @@
 //! cargo run --release --example resident_engine
 //! ```
 
-use imin_engine::{AlgorithmKind, Engine, Query};
+use imin_engine::{AlgorithmKind, Query, SharedEngine};
 use std::time::Instant;
 
 fn main() {
@@ -29,10 +29,10 @@ fn main() {
     );
 
     // 2. Prime the engine: one graph load, one pool build.
-    let mut engine = Engine::new();
+    let engine = SharedEngine::new();
     engine.load_graph(graph, "pa-5000/WC".into());
     let theta = 2_000;
-    let info = engine.build_pool(theta, 7).expect("pool build");
+    let (info, _) = engine.ensure_pool(theta, 7).expect("pool build");
     println!(
         "pool: θ={} realisations, {} live edges, {:.1} MiB, built in {:?} on {} thread(s)",
         info.theta,
@@ -79,8 +79,10 @@ fn main() {
         );
     }
 
-    // 4. Batched queries fan out across the worker pool in one call.
-    let batch: Vec<Query> = (0..6)
+    // 4. Concurrent questions: every engine method takes `&self`, so any
+    //    number of threads share one engine — exactly how `imin-serve`
+    //    answers its connections.
+    let questions: Vec<Query> = (0..6)
         .map(|i| Query {
             seeds: vec![imin_graph::VertexId::new(100 + i)],
             budget: 5,
@@ -89,13 +91,22 @@ fn main() {
         })
         .collect();
     let start = Instant::now();
-    let answers = engine.run_queries(&batch);
-    let ok = answers.iter().filter(|r| r.is_ok()).count();
+    let ok = std::thread::scope(|scope| {
+        let handles: Vec<_> = questions
+            .iter()
+            .map(|query| scope.spawn(|| engine.query(query)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("query thread"))
+            .filter(Result::is_ok)
+            .count()
+    });
     println!(
-        "batch: {ok}/{} queries answered in {:?} ({:.1} queries/sec)",
-        batch.len(),
+        "concurrent: {ok}/{} queries answered in {:?} ({:.1} queries/sec)",
+        questions.len(),
         start.elapsed(),
-        batch.len() as f64 / start.elapsed().as_secs_f64()
+        questions.len() as f64 / start.elapsed().as_secs_f64()
     );
 
     let stats = engine.stats();

@@ -227,8 +227,10 @@ impl BlockerSolver for OutNeighbors {
         rank_by_score(&mut neighbors, &estimate.delta);
         neighbors.truncate(request.budget());
         let mut sel = BlockerSelection::new(neighbors);
+        let pooled = matches!(request.backend(), EvalBackend::Pooled { .. });
         sel.stats = SelectionStats {
             samples_drawn: estimate.samples,
+            samples_repriced: if pooled { estimate.samples } else { 0 },
             rounds: 1,
             elapsed: start.elapsed(),
             ..Default::default()

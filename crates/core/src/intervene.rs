@@ -30,7 +30,7 @@
 
 use crate::decrease::DecreaseEstimate;
 use crate::pool::{
-    check_mask_len, timed_best, validate_pooled_query, with_pool_workspace, Credit, Cut,
+    check_mask_len, timed_select, validate_pooled_query, with_pool_workspace, Credit, Cut,
     PoolWorkspace, SamplePool,
 };
 use crate::request::{ContainmentRequest, EvalBackend};
@@ -328,6 +328,7 @@ pub fn pooled_edge_greedy_in(
                     )
                 });
             stats.samples_drawn += theta;
+            stats.samples_repriced += theta;
             let average_reached = reached_total as f64 / theta as f64;
             let Some(((src, dst), delta)) = best else {
                 estimated_spread = Some(average_reached);
@@ -394,8 +395,11 @@ pub fn pooled_prebunk_greedy_in(
         for round in 0..budget {
             let current = estimate(workspace, &prebunked);
             stats.samples_drawn += current.samples;
-            let chosen = timed_best(&current, timed, |v| {
-                !workspace.is_seed(v) && !prebunked[v.index()] && !forbidden[v.index()]
+            stats.samples_repriced += current.samples;
+            let chosen = timed_select(timed, || {
+                current.best_candidate(|v| {
+                    !workspace.is_seed(v) && !prebunked[v.index()] && !forbidden[v.index()]
+                })
             });
             let Some(chosen) = chosen else { break };
             prebunked[chosen.index()] = true;
@@ -409,8 +413,11 @@ pub fn pooled_prebunk_greedy_in(
                 stats.rounds += 1;
                 let current = estimate(workspace, &prebunked);
                 stats.samples_drawn += current.samples;
-                let chosen = timed_best(&current, timed, |v| {
-                    !workspace.is_seed(v) && !prebunked[v.index()] && !forbidden[v.index()]
+                stats.samples_repriced += current.samples;
+                let chosen = timed_select(timed, || {
+                    current.best_candidate(|v| {
+                        !workspace.is_seed(v) && !prebunked[v.index()] && !forbidden[v.index()]
+                    })
                 });
                 let Some(chosen) = chosen else {
                     prebunked[u.index()] = true;
@@ -428,6 +435,7 @@ pub fn pooled_prebunk_greedy_in(
         Ok(estimate(workspace, &prebunked))
     })?;
     stats.samples_drawn += final_estimate.samples;
+    stats.samples_repriced += final_estimate.samples;
     stats.elapsed = start.elapsed();
     Ok(BlockerSelection {
         blockers: chosen_order,

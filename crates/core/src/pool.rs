@@ -758,11 +758,19 @@ struct PoolWorkerScratch {
     cascade: RootedCascade,
     domtree: DomTreeWorkspace,
     sizes: Vec<u64>,
-    /// Integer subtree-size sums per global vertex ([`Credit::Vertex`]).
-    /// `u64` addition is associative, so merging per-worker sums is
-    /// order- and thread-count-independent — the determinism contract of
-    /// the pool.
+    /// Signed subtree-size sums per global vertex ([`Credit::Vertex`]), in
+    /// wrapping `u64` arithmetic: retiring a cascade adds the two's
+    /// complement of its credit, and integer addition is associative and
+    /// commutative, so merging per-worker sums stays order- and
+    /// thread-count-independent — the determinism contract of the pool.
+    /// The first worker's sums are the merged result; the merge drains
+    /// every other worker's.
     delta_sum: Vec<u64>,
+    /// The non-seed vertices each priced cascade reached, concatenated in
+    /// pricing order ([`Credit::Vertex`] only), and where each cascade's
+    /// run ends. A full pass turns them into the workspace's reach index.
+    reach_log: Vec<u32>,
+    reach_ends: Vec<usize>,
     /// Integer subtree-size sums per sole live in-edge
     /// ([`Credit::SoleInEdge`]), merged the same way.
     edge_sum: HashMap<(u32, u32), u64>,
@@ -770,6 +778,7 @@ struct PoolWorkerScratch {
     /// the current cascade ([`Credit::SoleInEdge`] only).
     in_count: Vec<u32>,
     pred: Vec<u32>,
+    /// Signed (wrapping) reached-vertex count of the last call.
     reached_sum: u64,
     /// Nanoseconds spent in the decode / bfs / domtree / credit phases of
     /// the last `accumulate` call, estimated by profiling a prefix of the
@@ -878,12 +887,14 @@ impl PhaseSplit {
 }
 
 impl PoolWorkerScratch {
-    /// Re-roots every realisation in `range` at the seed set, drops the
-    /// live edges `cut` removes, and accumulates the cut's credit into
-    /// `self.delta_sum` or `self.edge_sum`. Neighbour lists are decoded
-    /// through the pool's arena view — raw slices, varint streams and
-    /// bitset walks all feed the identical BFS over the reached region
-    /// only, with zero steady-state allocation.
+    /// Prices every realisation in `samples` under `cut` into the
+    /// accumulators, which the caller has sized and, where it wants a
+    /// fresh sum, zeroed. With `old`, each realisation's contribution under
+    /// `old` is subtracted first, so the sums become the *change* from
+    /// pricing the realisations under `old` to pricing them under `cut`.
+    /// Neighbour lists are decoded through the pool's arena view — raw
+    /// slices, varint streams and bitset walks all feed the identical BFS
+    /// over the reached region only, with zero steady-state allocation.
     ///
     /// When `timed` is set, per-phase wall-clock nanoseconds are estimated
     /// into `self.phase_ns` by prefix profiling: the first
@@ -895,32 +906,33 @@ impl PoolWorkerScratch {
     /// uninstrumented query pays nothing. Both variants run the identical
     /// accumulation logic, so answers are byte-identical with timing on
     /// and off.
+    #[allow(clippy::too_many_arguments)]
     fn accumulate<C: Cut>(
         &mut self,
         pool: &SamplePool,
         seeds: &[u32],
         is_seed: &[bool],
+        samples: impl Iterator<Item = usize> + Clone,
+        old: Option<&C>,
         cut: &C,
-        range: Range<usize>,
         timed: bool,
     ) {
-        match C::CREDIT {
-            Credit::Vertex => {
-                self.delta_sum.clear();
-                self.delta_sum.resize(pool.num_vertices, 0);
-            }
-            Credit::SoleInEdge => self.edge_sum.clear(),
+        self.reach_log.clear();
+        self.reach_ends.clear();
+        if C::CREDIT == Credit::SoleInEdge {
+            self.edge_sum.clear();
         }
         self.reached_sum = 0;
         self.phase_ns = [0; 4];
         if timed {
             let split = PhaseSplit::begin();
-            let profile_end = range.end.min(range.start + PROFILE_SAMPLES);
-            self.accumulate_impl::<true, C>(pool, seeds, is_seed, cut, range.start..profile_end);
-            self.accumulate_impl::<false, C>(pool, seeds, is_seed, cut, profile_end..range.end);
+            let profiled = samples.clone().take(PROFILE_SAMPLES);
+            self.accumulate_impl::<true, C>(pool, seeds, is_seed, profiled, old, cut);
+            let rest = samples.skip(PROFILE_SAMPLES);
+            self.accumulate_impl::<false, C>(pool, seeds, is_seed, rest, old, cut);
             split.split(&mut self.phase_ns);
         } else {
-            self.accumulate_impl::<false, C>(pool, seeds, is_seed, cut, range);
+            self.accumulate_impl::<false, C>(pool, seeds, is_seed, samples, old, cut);
         }
     }
 
@@ -929,62 +941,91 @@ impl PoolWorkerScratch {
         pool: &SamplePool,
         seeds: &[u32],
         is_seed: &[bool],
+        samples: impl Iterator<Item = usize>,
+        old: Option<&C>,
         cut: &C,
-        range: Range<usize>,
     ) {
-        let n = pool.num_vertices;
+        // One loop per shape, so the full pass compiles to a single
+        // straight-line pricing body.
+        match old {
+            None => {
+                for idx in samples {
+                    self.price::<TIMED, C>(pool, seeds, is_seed, cut, idx, false);
+                }
+            }
+            Some(old) => {
+                for idx in samples {
+                    self.price::<TIMED, C>(pool, seeds, is_seed, old, idx, true);
+                    self.price::<TIMED, C>(pool, seeds, is_seed, cut, idx, false);
+                }
+            }
+        }
+    }
+
+    /// Re-roots realisation `idx` at the seed set, drops the live edges
+    /// `cut` removes, and adds the cascade's reached count and credit to
+    /// the accumulators — or, with `negate`, subtracts them.
+    #[inline]
+    fn price<const TIMED: bool, C: Cut>(
+        &mut self,
+        pool: &SamplePool,
+        seeds: &[u32],
+        is_seed: &[bool],
+        cut: &C,
+        idx: usize,
+        negate: bool,
+    ) {
         let PoolWorkerScratch {
             cascade,
             domtree,
             sizes,
             delta_sum,
+            reach_log,
+            reach_ends,
             edge_sum,
             in_count,
             pred,
             reached_sum,
             phase_ns,
         } = self;
-        let only_seeds = 1 + seeds.len();
-        for idx in range {
-            let mut mark = if TIMED { ticks() } else { 0 };
-            let view = pool.arena.view(idx);
-            if TIMED {
-                lap(&mut mark, &mut phase_ns[PN_DECODE]);
-            }
-            cascade.reset(n);
-            // Virtual root → every seed (the unified-seed edges of §V, all
-            // with probability 1, so no coins are involved).
-            for &s in seeds {
-                let local = cascade.intern(s);
-                cascade.targets.push(local);
-            }
+        let signed = |x: u64| if negate { x.wrapping_neg() } else { x };
+        let mut mark = if TIMED { ticks() } else { 0 };
+        let view = pool.arena.view(idx);
+        if TIMED {
+            lap(&mut mark, &mut phase_ns[PN_DECODE]);
+        }
+        cascade.reset(pool.num_vertices);
+        // Virtual root → every seed (the unified-seed edges of §V, all
+        // with probability 1, so no coins are involved).
+        for &s in seeds {
+            let local = cascade.intern(s);
+            cascade.targets.push(local);
+        }
+        cascade.offsets.push(cascade.targets.len() as u32);
+        // Multi-source BFS over the stored live edges; only the cut
+        // filters — the coins were flipped at build time.
+        let mut head = 1usize;
+        while head < cascade.vertices.len() {
+            let u_global = cascade.vertices[head];
+            head += 1;
+            view.for_each_live(u_global, |t| {
+                if !cut.keeps(idx, u_global, t) {
+                    return;
+                }
+                let t_local = cascade.intern(t);
+                cascade.targets.push(t_local);
+            });
             cascade.offsets.push(cascade.targets.len() as u32);
-            // Multi-source BFS over the stored live edges; only the cut
-            // filters — the coins were flipped at build time.
-            let mut head = 1usize;
-            while head < cascade.vertices.len() {
-                let u_global = cascade.vertices[head];
-                head += 1;
-                view.for_each_live(u_global, |t| {
-                    if !cut.keeps(idx, u_global, t) {
-                        return;
-                    }
-                    let t_local = cascade.intern(t);
-                    cascade.targets.push(t_local);
-                });
-                cascade.offsets.push(cascade.targets.len() as u32);
-            }
-            if TIMED {
-                lap(&mut mark, &mut phase_ns[PN_BFS]);
-            }
-            let reached = cascade.vertices.len();
-            // The virtual root is bookkeeping, not spread.
-            *reached_sum += (reached - 1) as u64;
-            if reached <= only_seeds {
-                // Nothing beyond the seeds was reached: no candidate can
-                // earn credit from this realisation.
-                continue;
-            }
+        }
+        if TIMED {
+            lap(&mut mark, &mut phase_ns[PN_BFS]);
+        }
+        let reached = cascade.vertices.len();
+        // The virtual root is bookkeeping, not spread.
+        *reached_sum = reached_sum.wrapping_add(signed((reached - 1) as u64));
+        // With nothing beyond the seeds reached, no candidate can earn
+        // credit from this realisation.
+        if reached > 1 + seeds.len() {
             let tree = domtree.compute_csr(
                 reached,
                 &cascade.offsets,
@@ -1003,10 +1044,13 @@ impl PoolWorkerScratch {
                         if is_seed[global as usize] {
                             continue;
                         }
-                        delta_sum[global as usize] += size;
+                        reach_log.push(global);
+                        let sum = &mut delta_sum[global as usize];
+                        *sum = sum.wrapping_add(signed(size));
                     }
                 }
                 Credit::SoleInEdge => {
+                    debug_assert!(!negate, "sole-in-edge credit is only ever added");
                     cascade.credit_sole_in_edges(reached, sizes, in_count, pred, edge_sum)
                 }
             }
@@ -1014,17 +1058,36 @@ impl PoolWorkerScratch {
                 lap(&mut mark, &mut phase_ns[PN_CREDIT]);
             }
         }
+        if C::CREDIT == Credit::Vertex {
+            reach_ends.push(reach_log.len());
+        }
     }
 }
 
 /// Reusable state for the pooled estimator and the pooled greedy loops: one
-/// scratch set per worker thread plus the canonicalised-seed buffers, kept
-/// alive across rounds and across queries.
+/// scratch set per worker thread, the canonicalised-seed buffers, and the
+/// merged credit plus reach index of the last pass, kept alive across
+/// rounds and across queries.
 #[derive(Clone, Debug, Default)]
 pub struct PoolWorkspace {
     workers: Vec<PoolWorkerScratch>,
     seeds: Vec<u32>,
     is_seed: Vec<bool>,
+    /// Merged reached-vertex count of the last pass, kept current by
+    /// incremental re-pricing like the first worker's credit.
+    reached: u64,
+    /// Ascending union of the non-seed vertices the last indexed pass
+    /// reached, and each one's position in it (`UNMAPPED` elsewhere).
+    reach: Vec<u32>,
+    reach_slot: Vec<u32>,
+    /// Inverted reach index (CSR over `reach`) built by
+    /// [`PoolWorkspace::index_reach`]: the realisations that reach
+    /// `reach[i]`, ascending, are
+    /// `reach_samples[reach_start[i]..reach_start[i + 1]]`.
+    reach_start: Vec<usize>,
+    reach_samples: Vec<u32>,
+    /// Realisations an incremental pass re-prices, ascending.
+    touched: Vec<u32>,
 }
 
 thread_local! {
@@ -1101,59 +1164,89 @@ impl PoolWorkspace {
         Ok(())
     }
 
-    /// Runs the re-rooted-cascade kernel under `cut` over all θ
-    /// realisations of `pool` for the staged seeds, sharded across
-    /// `threads` workers, and hands the merged sums to `finish`.
+    /// Runs the re-rooted-cascade kernel for the staged seeds on up to
+    /// `threads` workers and merges the sums into the first worker's. A
+    /// full pass (no `old`) prices all θ realisations under `cut` from
+    /// zero. With `old`, only `self.touched` is visited, and each listed
+    /// realisation's contribution under `old` is replaced by its
+    /// contribution under `cut`. Returns the number of workers that ran.
     ///
-    /// Every family's greedy loop goes through here. When the caller's
-    /// span is active, the workers' decode / bfs / domtree / credit time
-    /// and the merge (under credit) land in it, and `finish` is timed
-    /// under `finish_phase`.
-    pub(crate) fn run<C: Cut, R>(
+    /// When the caller's span is active, the workers' decode / bfs /
+    /// domtree / credit time and the merge (under credit) land in it.
+    fn pass<C: Cut>(
         &mut self,
         pool: &SamplePool,
+        old: Option<&C>,
         cut: &C,
         threads: usize,
-        finish_phase: imin_obs::Phase,
-        finish: impl FnOnce(PassSums<'_>) -> R,
-    ) -> R {
+    ) -> usize {
         use imin_obs::{span, Phase};
-        let theta = pool.theta();
-        let threads = threads.max(1).min(theta);
         // Sampled on the calling thread: workers collect plain nanosecond
         // slots, and only the caller's span (if any) aggregates them.
         let timed = span::active();
-        let PoolWorkspace {
-            workers,
-            seeds,
-            is_seed,
-        } = self;
-        if workers.len() < threads {
-            workers.resize_with(threads, PoolWorkerScratch::default);
-        }
-        let workers = &mut workers[..threads];
-        let (seeds, is_seed) = (&*seeds, &*is_seed);
-        if threads <= 1 {
-            workers[0].accumulate(pool, seeds, is_seed, cut, 0..theta, timed);
+        let n = pool.num_vertices();
+        let total = if old.is_some() {
+            self.touched.len()
         } else {
+            pool.theta()
+        };
+        let threads = threads.max(1).min(total.max(1));
+        if self.workers.len() < threads {
+            self.workers
+                .resize_with(threads, PoolWorkerScratch::default);
+        }
+        let workers = &mut self.workers[..threads];
+        // The first worker's sums are the merged ones: a full pass starts
+        // them from zero, an incremental pass updates them in place. The
+        // others start from zero; the merge drains them, and a panicked
+        // pass left its touched entries in the log.
+        for (k, worker) in workers.iter_mut().enumerate() {
+            if k > 0 {
+                for &v in &worker.reach_log {
+                    worker.delta_sum[v as usize] = 0;
+                }
+            } else if old.is_none() && C::CREDIT == Credit::Vertex {
+                worker.delta_sum.clear();
+            }
+            worker.delta_sum.resize(n, 0);
+        }
+        let (seeds, is_seed, touched) = (&self.seeds[..], &self.is_seed[..], &self.touched[..]);
+        let work = |worker: &mut PoolWorkerScratch, range: Range<usize>| match old {
+            None => worker.accumulate(pool, seeds, is_seed, range, None, cut, timed),
+            Some(_) => {
+                let samples = touched[range].iter().map(|&s| s as usize);
+                worker.accumulate(pool, seeds, is_seed, samples, old, cut, timed)
+            }
+        };
+        if threads <= 1 {
+            work(&mut workers[0], 0..total);
+        } else {
+            let work = &work;
             crossbeam::scope(|scope| {
-                for (worker, range) in workers.iter_mut().zip(shard_ranges(theta, threads)) {
-                    scope
-                        .spawn(move |_| worker.accumulate(pool, seeds, is_seed, cut, range, timed));
+                for (worker, range) in workers.iter_mut().zip(shard_ranges(total, threads)) {
+                    scope.spawn(move |_| work(worker, range));
                 }
             })
             .expect("pooled-estimator worker panicked");
         }
         let merge_start = timed.then(Instant::now);
+        let reached = workers
+            .iter()
+            .fold(0u64, |acc, w| acc.wrapping_add(w.reached_sum));
+        self.reached = match old {
+            None => reached,
+            Some(_) => self.reached.wrapping_add(reached),
+        };
         // Integer merge: order-independent, hence thread-count-independent.
         let (first, rest) = workers.split_at_mut(1);
         let first = &mut first[0];
-        for worker in rest.iter() {
-            first.reached_sum += worker.reached_sum;
+        for worker in rest.iter_mut() {
             match C::CREDIT {
                 Credit::Vertex => {
-                    for (acc, &d) in first.delta_sum.iter_mut().zip(&worker.delta_sum) {
-                        *acc += d;
+                    for &v in &worker.reach_log {
+                        let v = v as usize;
+                        let delta = std::mem::take(&mut worker.delta_sum[v]);
+                        first.delta_sum[v] = first.delta_sum[v].wrapping_add(delta);
                     }
                 }
                 Credit::SoleInEdge => {
@@ -1163,23 +1256,108 @@ impl PoolWorkspace {
                 }
             }
         }
-        let finish_start = timed.then(Instant::now);
-        let out = finish(PassSums {
-            reached: first.reached_sum,
-            vertex: &first.delta_sum,
-            edges: &first.edge_sum,
-            is_seed,
-        });
-        if let (Some(merge_start), Some(finish_start)) = (merge_start, finish_start) {
+        if let Some(merge_start) = merge_start {
             for worker in workers.iter() {
                 span::add_ns(Phase::Decode, worker.phase_ns[PN_DECODE]);
                 span::add_ns(Phase::Bfs, worker.phase_ns[PN_BFS]);
                 span::add_ns(Phase::DomTree, worker.phase_ns[PN_DOMTREE]);
                 span::add_ns(Phase::Credit, worker.phase_ns[PN_CREDIT]);
             }
-            let merge_ns = finish_start.duration_since(merge_start).as_nanos() as u64;
-            span::add_ns(Phase::Credit, merge_ns);
-            span::add_ns(finish_phase, finish_start.elapsed().as_nanos() as u64);
+            span::add_ns(Phase::Credit, merge_start.elapsed().as_nanos() as u64);
+        }
+        threads
+    }
+
+    /// The merged per-vertex credit of the last pass ([`Credit::Vertex`]).
+    fn credit(&self) -> &[u64] {
+        &self.workers[0].delta_sum
+    }
+
+    /// Collects `reach` and builds the inverted reach index from the logs
+    /// of the full [`Credit::Vertex`] pass that just ran on `used` workers:
+    /// for every reached non-seed vertex, the ascending list of
+    /// realisations that reach it. One entry per reached non-seed vertex
+    /// per realisation, each of which has a live in-edge there, so the
+    /// index never holds more entries than the pool has live edges.
+    fn index_reach(&mut self, n: usize, theta: usize, used: usize) {
+        let PoolWorkspace {
+            workers,
+            reach,
+            reach_slot,
+            reach_start,
+            reach_samples,
+            ..
+        } = self;
+        let workers = &workers[..used];
+        for &v in reach.iter() {
+            reach_slot[v as usize] = UNMAPPED;
+        }
+        reach.clear();
+        reach_slot.resize(n, UNMAPPED);
+        for worker in workers {
+            for &v in &worker.reach_log {
+                if reach_slot[v as usize] == UNMAPPED {
+                    reach_slot[v as usize] = 0;
+                    reach.push(v);
+                }
+            }
+        }
+        reach.sort_unstable();
+        for (slot, &v) in reach.iter().enumerate() {
+            reach_slot[v as usize] = slot as u32;
+        }
+        reach_start.clear();
+        reach_start.resize(reach.len() + 1, 0);
+        for worker in workers {
+            for &v in &worker.reach_log {
+                reach_start[reach_slot[v as usize] as usize + 1] += 1;
+            }
+        }
+        for slot in 1..reach_start.len() {
+            reach_start[slot] += reach_start[slot - 1];
+        }
+        reach_samples.clear();
+        reach_samples.resize(reach_start[reach.len()], 0);
+        // Fill using each slot's start as its write cursor, which leaves
+        // every start at the next slot's start; shift them back after.
+        for (worker, range) in workers.iter().zip(shard_ranges(theta, used)) {
+            let mut from = 0;
+            for (sample, &end) in range.zip(&worker.reach_ends) {
+                for &v in &worker.reach_log[from..end] {
+                    let cursor = &mut reach_start[reach_slot[v as usize] as usize];
+                    reach_samples[*cursor] = sample as u32;
+                    *cursor += 1;
+                }
+                from = end;
+            }
+        }
+        reach_start.rotate_right(1);
+        reach_start[0] = 0;
+    }
+
+    /// Runs a full kernel pass under `cut` over all θ realisations of
+    /// `pool` for the staged seeds, sharded across `threads` workers, and
+    /// hands the merged sums to `finish`, timed under `finish_phase` when
+    /// the caller's span is active. The edge and prebunk greedy loops and
+    /// the one-shot estimator go through here.
+    pub(crate) fn run<C: Cut, R>(
+        &mut self,
+        pool: &SamplePool,
+        cut: &C,
+        threads: usize,
+        finish_phase: imin_obs::Phase,
+        finish: impl FnOnce(PassSums<'_>) -> R,
+    ) -> R {
+        self.pass(pool, None, cut, threads);
+        let finish_start = imin_obs::span::active().then(Instant::now);
+        let out = finish(PassSums {
+            reached: self.reached,
+            vertex: self.credit(),
+            edges: &self.workers[0].edge_sum,
+            is_seed: &self.is_seed,
+        });
+        if let Some(finish_start) = finish_start {
+            imin_obs::span::add_ns(finish_phase, finish_start.elapsed().as_nanos() as u64);
         }
         out
     }
@@ -1202,6 +1380,148 @@ impl PoolWorkspace {
             }
         })
     }
+}
+
+/// The pricing state of one pooled greedy query (Algorithms 3 and 4)
+/// across its rounds.
+///
+/// Opening runs one full kernel pass with nothing blocked, which also
+/// indexes the realisations that reach each vertex. Blocking only ever
+/// shrinks a cascade, so a vertex that no realisation reaches with nothing
+/// blocked is never entered under any blocked set: toggling it changes no
+/// cascade. Toggling a reached vertex changes only the cascades of the
+/// realisations in its index entry. [`GreedySession::refresh`] therefore
+/// re-prices just the union of the toggled vertices' entries, retiring each
+/// one's contribution under the blocked set priced so far and adding its
+/// contribution under the new one. The integer sums come out exactly as a
+/// full pass under the new blocked set would compute them.
+struct GreedySession<'a> {
+    pool: &'a SamplePool,
+    ws: &'a mut PoolWorkspace,
+    threads: usize,
+    /// The blocked set the workspace credits price. It only matters on
+    /// `ws.reach`, the only vertices whose blocking can change a cascade.
+    priced: Vec<bool>,
+    /// Cascade evaluations so far, retired ones included.
+    repriced: usize,
+}
+
+impl<'a> GreedySession<'a> {
+    /// Stages `seeds` and prices every realisation with nothing blocked.
+    fn open(
+        pool: &'a SamplePool,
+        seeds: &[VertexId],
+        threads: usize,
+        ws: &'a mut PoolWorkspace,
+    ) -> Result<Self> {
+        let n = pool.num_vertices();
+        ws.stage_seeds(n, seeds, None)?;
+        let priced = vec![false; n];
+        let used = ws.pass(pool, None, &VertexCut(&priced), threads);
+        let index_start = imin_obs::span::active().then(Instant::now);
+        ws.index_reach(n, pool.theta(), used);
+        if let Some(index_start) = index_start {
+            let ns = index_start.elapsed().as_nanos() as u64;
+            imin_obs::span::add_ns(imin_obs::Phase::Credit, ns);
+        }
+        Ok(GreedySession {
+            pool,
+            ws,
+            threads,
+            priced,
+            repriced: pool.theta(),
+        })
+    }
+
+    /// Brings the credits up to date with `blocked`, re-pricing only the
+    /// realisations that reach a vertex whose state changed.
+    fn refresh(&mut self, blocked: &[bool]) {
+        let ws = &mut *self.ws;
+        ws.touched.clear();
+        for (slot, &v) in ws.reach.iter().enumerate() {
+            if self.priced[v as usize] != blocked[v as usize] {
+                let entry = ws.reach_start[slot]..ws.reach_start[slot + 1];
+                ws.touched.extend_from_slice(&ws.reach_samples[entry]);
+            }
+        }
+        if ws.touched.is_empty() {
+            return;
+        }
+        ws.touched.sort_unstable();
+        ws.touched.dedup();
+        ws.pass(
+            self.pool,
+            Some(&VertexCut(&self.priced)),
+            &VertexCut(blocked),
+            self.threads,
+        );
+        self.repriced += 2 * ws.touched.len();
+        for &v in &ws.reach {
+            self.priced[v as usize] = blocked[v as usize];
+        }
+    }
+
+    fn is_seed(&self, v: VertexId) -> bool {
+        self.ws.is_seed(v)
+    }
+
+    /// The eligible vertex of largest credit, ties to the smaller id — the
+    /// rule of [`DecreaseEstimate::best_candidate`]. Only reached vertices
+    /// hold credit, so the reach set decides unless every eligible credit
+    /// in it is 0; then the full scan keeps the "always block some vertex"
+    /// rule.
+    fn best(&self, eligible: impl Fn(VertexId) -> bool) -> Option<VertexId> {
+        let credit = self.ws.credit();
+        match argmax(credit, self.ws.reach.iter().copied(), &eligible) {
+            Some((v, c)) if c > 0 => Some(v),
+            _ => argmax(credit, 0..self.pool.num_vertices() as u32, &eligible).map(|(v, _)| v),
+        }
+    }
+
+    /// [`GreedySession::best`] restricted to the ascending `candidates`.
+    fn best_among(
+        &self,
+        candidates: &[VertexId],
+        eligible: impl Fn(VertexId) -> bool,
+    ) -> Option<VertexId> {
+        argmax(
+            self.ws.credit(),
+            candidates.iter().map(|v| v.raw()),
+            &eligible,
+        )
+        .map(|(v, _)| v)
+    }
+
+    /// The expected spread once `chosen` is blocked on top of the priced
+    /// set: the reached average less `chosen`'s decrease, both per θ.
+    fn spread(&self, chosen: Option<VertexId>) -> f64 {
+        let inv = 1.0 / self.pool.theta() as f64;
+        let average_reached = self.ws.reached as f64 * inv;
+        match chosen {
+            Some(v) => average_reached - self.ws.credit()[v.index()] as f64 * inv,
+            None => average_reached,
+        }
+    }
+}
+
+/// The first eligible vertex of largest credit among ascending
+/// `candidates`, with its credit.
+fn argmax(
+    credit: &[u64],
+    candidates: impl Iterator<Item = u32>,
+    eligible: impl Fn(VertexId) -> bool,
+) -> Option<(VertexId, u64)> {
+    let mut best: Option<(VertexId, u64)> = None;
+    for v in candidates.map(VertexId::from_raw) {
+        if !eligible(v) {
+            continue;
+        }
+        let c = credit[v.index()];
+        if best.is_none_or(|(_, bc)| c > bc) {
+            best = Some((v, c));
+        }
+    }
+    best
 }
 
 /// The merged integer sums of one kernel pass over the whole pool.
@@ -1269,18 +1589,14 @@ pub fn pooled_decrease(
     pooled_decrease_in(pool, seeds, blocked, threads, &mut PoolWorkspace::new())
 }
 
-/// `DecreaseEstimate::best_candidate` with the scan attributed to the
-/// `select` phase of the caller's span when `timed` is set.
-pub(crate) fn timed_best(
-    estimate: &DecreaseEstimate,
-    timed: bool,
-    pred: impl Fn(VertexId) -> bool,
-) -> Option<VertexId> {
+/// Runs `select` under the `select` phase of the caller's span when `timed`
+/// is set.
+pub(crate) fn timed_select<R>(timed: bool, select: impl FnOnce() -> R) -> R {
     if !timed {
-        return estimate.best_candidate(pred);
+        return select();
     }
     let start = Instant::now();
-    let chosen = estimate.best_candidate(pred);
+    let chosen = select();
     imin_obs::span::add_ns(imin_obs::Phase::Select, start.elapsed().as_nanos() as u64);
     chosen
 }
@@ -1299,9 +1615,11 @@ pub(crate) fn validate_pooled_query(
 
 /// AdvancedGreedy (Algorithm 3) against a borrowed resident pool.
 ///
-/// Identical greedy structure to the classic entry point, but every round
-/// prices candidates by re-rooting the same θ realisations instead of
-/// redrawing them — per-round work is BFS + dominator trees only.
+/// Identical greedy structure to the classic entry point, but candidates
+/// are priced by re-rooting the same θ realisations instead of redrawing
+/// them: one full pass, then each round re-prices only the realisations
+/// the previous pick reaches (see [`GreedySession`]). Every round still
+/// consults all θ realisations, so `samples_drawn` counts θ per round.
 /// `forbidden[v] = true` marks vertices that may never be blocked; seeds
 /// are always excluded. `estimated_spread` counts every seed as active.
 ///
@@ -1319,26 +1637,24 @@ pub fn pooled_advanced_greedy_in(
     let start = Instant::now();
     validate_pooled_query(pool, forbidden, budget)?;
     let timed = imin_obs::span::active();
-    let n = pool.num_vertices();
-    let mut blocked = vec![false; n];
+    let mut blocked = vec![false; pool.num_vertices()];
     let mut blockers = Vec::with_capacity(budget);
     let mut stats = SelectionStats::default();
     let mut estimated_spread = None;
+    let mut session = GreedySession::open(pool, seeds, threads, workspace)?;
     for round in 0..budget {
-        let estimate = pooled_decrease_in(pool, seeds, &blocked, threads, workspace)?;
-        stats.samples_drawn += estimate.samples;
-        let chosen = timed_best(&estimate, timed, |v| {
-            !workspace.is_seed[v.index()] && !blocked[v.index()] && !forbidden[v.index()]
+        session.refresh(&blocked);
+        stats.samples_drawn += pool.theta();
+        let chosen = timed_select(timed, || {
+            session.best(|v| !session.is_seed(v) && !blocked[v.index()] && !forbidden[v.index()])
         });
-        let Some(chosen) = chosen else {
-            estimated_spread = Some(estimate.average_reached);
-            break;
-        };
-        estimated_spread = Some(estimate.average_reached - estimate.delta[chosen.index()]);
+        estimated_spread = Some(session.spread(chosen));
+        let Some(chosen) = chosen else { break };
         blocked[chosen.index()] = true;
         blockers.push(chosen);
         stats.rounds = round + 1;
     }
+    stats.samples_repriced = session.repriced;
     stats.elapsed = start.elapsed();
     Ok(BlockerSelection {
         blockers,
@@ -1351,7 +1667,8 @@ pub fn pooled_advanced_greedy_in(
 /// GreedyReplace (Algorithm 4) against a borrowed resident pool: the
 /// out-neighbour phase ranks the seeds' out-neighbours, a fill phase spends
 /// leftover budget globally, and the replacement phase revisits blockers in
-/// reverse insertion order — all priced by re-rooting the same pool.
+/// reverse insertion order — all priced incrementally on the same pool,
+/// like [`pooled_advanced_greedy_in`].
 ///
 /// # Errors
 /// Returns an error on a zero budget, an invalid seed set, a wrong-length
@@ -1370,25 +1687,22 @@ pub fn pooled_greedy_replace_in(
     validate_pooled_query(pool, forbidden, budget)?;
     pool.ensure_matches(graph)?;
     let timed = imin_obs::span::active();
-    let n = pool.num_vertices();
-    let mut blocked = vec![false; n];
+    let theta = pool.theta();
+    let mut blocked = vec![false; pool.num_vertices()];
     let mut blockers: Vec<VertexId> = Vec::with_capacity(budget);
     let mut stats = SelectionStats::default();
     let mut estimated_spread: Option<f64> = None;
-
-    // Stage once to build the seed mask for candidate filtering; the
-    // estimator re-stages per round (cheap — the buffers are reused).
-    workspace.stage_seeds(n, seeds, Some(&blocked))?;
-    let eligible = |v: VertexId, blocked: &[bool], is_seed: &[bool]| {
-        !is_seed[v.index()] && !blocked[v.index()] && !forbidden[v.index()]
+    let mut session = GreedySession::open(pool, seeds, threads, workspace)?;
+    let eligible = |v: VertexId, blocked: &[bool], session: &GreedySession<'_>| {
+        !session.is_seed(v) && !blocked[v.index()] && !forbidden[v.index()]
     };
 
     // ---- Phase 1: blockers among the seeds' out-neighbours ----------------
     let mut candidate_pool: Vec<VertexId> = Vec::new();
-    for &s in &workspace.seeds {
+    for &s in &session.ws.seeds {
         for &t in graph.out_neighbors(VertexId::from_raw(s)) {
             let v = VertexId::from_raw(t);
-            if eligible(v, &blocked, &workspace.is_seed) {
+            if eligible(v, &blocked, &session) {
                 candidate_pool.push(v);
             }
         }
@@ -1399,13 +1713,13 @@ pub fn pooled_greedy_replace_in(
     let out_rounds = candidate_pool.len().min(budget);
     for _ in 0..out_rounds {
         stats.rounds += 1;
-        let estimate = pooled_decrease_in(pool, seeds, &blocked, threads, workspace)?;
-        stats.samples_drawn += estimate.samples;
-        let chosen = timed_best(&estimate, timed, |v| {
-            candidate_pool.contains(&v) && eligible(v, &blocked, &workspace.is_seed)
+        session.refresh(&blocked);
+        stats.samples_drawn += theta;
+        let chosen = timed_select(timed, || {
+            session.best_among(&candidate_pool, |v| eligible(v, &blocked, &session))
         });
         let Some(chosen) = chosen else { break };
-        estimated_spread = Some(estimate.average_reached - estimate.delta[chosen.index()]);
+        estimated_spread = Some(session.spread(Some(chosen)));
         blocked[chosen.index()] = true;
         blockers.push(chosen);
         candidate_pool.retain(|&v| v != chosen);
@@ -1414,13 +1728,11 @@ pub fn pooled_greedy_replace_in(
     // ---- Fill: spend any remaining budget on global greedy picks ----------
     while blockers.len() < budget {
         stats.rounds += 1;
-        let estimate = pooled_decrease_in(pool, seeds, &blocked, threads, workspace)?;
-        stats.samples_drawn += estimate.samples;
-        let chosen = timed_best(&estimate, timed, |v| {
-            eligible(v, &blocked, &workspace.is_seed)
-        });
+        session.refresh(&blocked);
+        stats.samples_drawn += theta;
+        let chosen = timed_select(timed, || session.best(|v| eligible(v, &blocked, &session)));
         let Some(chosen) = chosen else { break };
-        estimated_spread = Some(estimate.average_reached - estimate.delta[chosen.index()]);
+        estimated_spread = Some(session.spread(Some(chosen)));
         blocked[chosen.index()] = true;
         blockers.push(chosen);
     }
@@ -1430,16 +1742,14 @@ pub fn pooled_greedy_replace_in(
         let u = blockers[idx];
         blocked[u.index()] = false;
         stats.rounds += 1;
-        let estimate = pooled_decrease_in(pool, seeds, &blocked, threads, workspace)?;
-        stats.samples_drawn += estimate.samples;
-        let chosen = timed_best(&estimate, timed, |v| {
-            eligible(v, &blocked, &workspace.is_seed)
-        });
+        session.refresh(&blocked);
+        stats.samples_drawn += theta;
+        let chosen = timed_select(timed, || session.best(|v| eligible(v, &blocked, &session)));
         let Some(chosen) = chosen else {
             blocked[u.index()] = true;
             break;
         };
-        estimated_spread = Some(estimate.average_reached - estimate.delta[chosen.index()]);
+        estimated_spread = Some(session.spread(Some(chosen)));
         blocked[chosen.index()] = true;
         blockers[idx] = chosen;
         if chosen == u {
@@ -1448,6 +1758,7 @@ pub fn pooled_greedy_replace_in(
         }
     }
 
+    stats.samples_repriced = session.repriced;
     stats.elapsed = start.elapsed();
     Ok(BlockerSelection {
         blockers,

@@ -83,6 +83,11 @@ impl AlgorithmConfig {
 pub struct SelectionStats {
     /// Total number of sampled graphs drawn (dominator-tree estimator).
     pub samples_drawn: usize,
+    /// Realisations the pooled re-rooting kernel priced: θ per full pass,
+    /// and for an incremental greedy round two per realisation it
+    /// re-priced (its retired and its new cascade). 0 for solvers that do
+    /// not run the pooled kernel.
+    pub samples_repriced: usize,
     /// Total number of Monte-Carlo cascade rounds simulated.
     pub mcs_rounds_run: usize,
     /// Number of greedy rounds / replacement rounds executed.
@@ -96,6 +101,7 @@ impl SelectionStats {
     /// composed of phases).
     pub fn absorb(&mut self, other: &SelectionStats) {
         self.samples_drawn += other.samples_drawn;
+        self.samples_repriced += other.samples_repriced;
         self.mcs_rounds_run += other.mcs_rounds_run;
         self.rounds += other.rounds;
         self.elapsed += other.elapsed;
@@ -179,18 +185,21 @@ mod tests {
     fn stats_absorb_accumulates() {
         let mut a = SelectionStats {
             samples_drawn: 10,
+            samples_repriced: 4,
             mcs_rounds_run: 20,
             rounds: 1,
             elapsed: Duration::from_millis(5),
         };
         let b = SelectionStats {
             samples_drawn: 1,
+            samples_repriced: 2,
             mcs_rounds_run: 2,
             rounds: 3,
             elapsed: Duration::from_millis(10),
         };
         a.absorb(&b);
         assert_eq!(a.samples_drawn, 11);
+        assert_eq!(a.samples_repriced, 6);
         assert_eq!(a.mcs_rounds_run, 22);
         assert_eq!(a.rounds, 4);
         assert_eq!(a.elapsed, Duration::from_millis(15));

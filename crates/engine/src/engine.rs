@@ -103,6 +103,10 @@ pub struct QueryResult {
     /// Pool consultations: θ per estimator round (no new samples are ever
     /// drawn — the pool is resident).
     pub samples_consulted: usize,
+    /// Realisations the pooled kernel actually priced while answering:
+    /// θ for the first pass, then two per realisation an incremental round
+    /// re-priced (0 for the sketch backend).
+    pub samples_repriced: usize,
     /// Whether the answer came from the LRU cache.
     pub from_cache: bool,
     /// Wall-clock time to produce (or fetch) the answer.
@@ -380,6 +384,7 @@ pub(crate) fn run_resident(
         estimated_spread: selection.estimated_spread,
         rounds: selection.stats.rounds,
         samples_consulted: selection.stats.samples_drawn,
+        samples_repriced: selection.stats.samples_repriced,
         from_cache: false,
         elapsed: start.elapsed(),
         disposition: Disposition::Computed,
@@ -729,6 +734,10 @@ mod tests {
                 path: path.display().to_string()
             }
         );
+        assert_eq!(
+            info.provenance.label(),
+            format!("mapped:{}", path.display())
+        );
         let after = warm.query(&q).unwrap();
         assert!(!after.from_cache);
         assert_eq!(before.blockers, after.blockers);
@@ -813,6 +822,16 @@ mod tests {
             "got {err:?}"
         );
         assert_eq!(engine.stats().snapshot_saves, 0);
+        // With a forward pool also resident, SAVE works again.
+        engine.ensure_pool(50, 2).unwrap();
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "imin-engine-sketchsave-{}.iminsnap",
+            std::process::id()
+        ));
+        engine.save_snapshot(&path).unwrap();
+        assert_eq!(engine.stats().snapshot_saves, 1);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

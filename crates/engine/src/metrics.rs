@@ -198,7 +198,7 @@ pub(crate) fn render(engine: &SharedEngine) -> String {
     );
 
     // ---- Counters ---------------------------------------------------------
-    let counters: [(&str, &str, u64); 14] = [
+    let counters: [(&str, &str, u64); 16] = [
         (
             "imin_queries_total",
             "Queries received (cache hits, coalesced and rejected included).",
@@ -223,6 +223,16 @@ pub(crate) fn render(engine: &SharedEngine) -> String {
             "imin_query_computed_total",
             "Queries that computed against the resident pool (leaders).",
             stats.computed,
+        ),
+        (
+            "imin_query_samples_consulted_total",
+            "Pool realisations computed queries consulted: theta per greedy round.",
+            stats.samples_consulted,
+        ),
+        (
+            "imin_query_samples_repriced_total",
+            "Pool realisations the kernel actually priced for computed queries.",
+            stats.samples_repriced,
         ),
         (
             "imin_pool_builds_total",

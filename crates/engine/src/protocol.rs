@@ -95,6 +95,11 @@
 //!   computed + failed`), and per-verb latency sums `lat_load_us=`,
 //!   `lat_pool_us=`, `lat_query_us=`, `lat_save_us=`, `lat_restore_us=`
 //!   (each the sum of the corresponding `METRICS` latency histogram).
+//!   The line ends with `samples_consulted=` (θ per greedy round over all
+//!   computed queries) and `samples_repriced=` (realisations the kernel
+//!   actually evaluated), mirrored by the `METRICS` counters
+//!   `imin_query_samples_consulted_total` and
+//!   `imin_query_samples_repriced_total`.
 //!
 //! ## Observability
 //!

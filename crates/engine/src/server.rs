@@ -467,7 +467,7 @@ fn stats_line(engine: &SharedEngine) -> String {
          lat_load_us={} lat_pool_us={} lat_query_us={} lat_save_us={} lat_restore_us={} \
          sketch_theta={sketch_theta} sketch_seed={sketch_seed} sketch_bytes={sketch_bytes} \
          sketch_members={sketch_members} sketch_source={sketch_source} \
-         sketch_builds={} sketch_reuses={}",
+         sketch_builds={} sketch_reuses={} samples_consulted={} samples_repriced={}",
         stats.queries,
         stats.cache_hits,
         engine.cache_entries(),
@@ -485,6 +485,8 @@ fn stats_line(engine: &SharedEngine) -> String {
         stats.lat_restore_us,
         stats.sketch_builds,
         stats.sketch_reuses,
+        stats.samples_consulted,
+        stats.samples_repriced,
     )
 }
 
@@ -538,6 +540,24 @@ mod tests {
                 && reply.contains("inflight=0"),
             "{reply}"
         );
+        // Sample counters close the line: θ × 2 rounds consulted by the one
+        // computed query, at least one full pass and at most two
+        // evaluations per consulted realisation actually priced.
+        let field = |name: &str| -> u64 {
+            let tail = reply.split(&format!(" {name}=")).nth(1).expect(name);
+            tail.split(' ').next().unwrap().parse().unwrap()
+        };
+        assert!(reply.ends_with(&format!("samples_repriced={}", field("samples_repriced"))));
+        assert_eq!(field("samples_consulted"), 400, "{reply}");
+        let repriced = field("samples_repriced");
+        assert!((200..=800).contains(&repriced), "{reply}");
+        let metrics = engine.metrics_text();
+        for line in [
+            "imin_query_samples_consulted_total 400".to_string(),
+            format!("imin_query_samples_repriced_total {repriced}"),
+        ] {
+            assert!(metrics.lines().any(|l| l == line), "missing '{line}'");
+        }
         let (reply, quit) = answer_line("QUIT", &engine);
         assert_eq!(reply, "OK bye");
         assert!(quit);

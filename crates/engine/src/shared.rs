@@ -148,6 +148,8 @@ struct Counters {
     coalesced: AtomicU64,
     rejected: AtomicU64,
     computed: AtomicU64,
+    samples_consulted: AtomicU64,
+    samples_repriced: AtomicU64,
     inflight: AtomicU64,
     pool_builds: AtomicU64,
     pool_extends: AtomicU64,
@@ -202,6 +204,12 @@ pub struct ServingStats {
     pub rejected: u64,
     /// Queries that actually computed against the pool (leaders).
     pub computed: u64,
+    /// Pool realisations the computed queries consulted: θ per greedy
+    /// round.
+    pub samples_consulted: u64,
+    /// Pool realisations the computed queries' kernel actually priced
+    /// (see [`crate::QueryResult::samples_repriced`]).
+    pub samples_repriced: u64,
     /// Leaders computing right now (a gauge, not a counter).
     pub inflight: u64,
     /// Pools built from scratch.
@@ -406,6 +414,8 @@ impl SharedEngine {
             coalesced: c.coalesced.load(Relaxed),
             rejected: c.rejected.load(Relaxed),
             computed: c.computed.load(Relaxed),
+            samples_consulted: c.samples_consulted.load(Relaxed),
+            samples_repriced: c.samples_repriced.load(Relaxed),
             inflight: c.inflight.load(Relaxed),
             pool_builds: c.pool_builds.load(Relaxed),
             pool_extends: c.pool_extends.load(Relaxed),
@@ -855,12 +865,9 @@ impl SharedEngine {
         self.counters.queries.fetch_add(1, Relaxed);
         let key = query.key();
         let probe_start = Instant::now();
-        let cached = {
-            let mut cache = lock_unpoisoned(&self.cache);
-            cache.lru.get(&key).cloned()
-        };
+        let cached = lock_unpoisoned(&self.cache).lru.get(&key).cloned();
         let probe_us = probe_start.elapsed().as_micros() as u64;
-        if let Some(mut hit) = cached {
+        let serve_hit = |mut hit: QueryResult| {
             self.counters.cache_hits.fetch_add(1, Relaxed);
             hit.from_cache = true;
             hit.elapsed = start.elapsed();
@@ -869,7 +876,10 @@ impl SharedEngine {
             // when it was computed.
             hit.disposition = Disposition::CacheHit;
             hit.trace_id = trace_id;
-            return Ok(hit);
+            Ok(hit)
+        };
+        if let Some(hit) = cached {
+            return serve_hit(hit);
         }
         // Snapshot the resident pair (and its epoch) before registering in
         // the single-flight map, so rejected queries never leave a slot
@@ -896,6 +906,13 @@ impl SharedEngine {
             let mut inflight = lock_unpoisoned(&self.inflight);
             if let Some(slot) = inflight.get(&key) {
                 Role::Follower(Arc::clone(slot))
+            } else if let Some(hit) = lock_unpoisoned(&self.cache).lru.get(&key).cloned() {
+                // A leader for this key finished between our first probe
+                // and here: it fills the cache before it leaves the
+                // single-flight map, so probing again under the map lock
+                // means an identical question is never computed twice.
+                drop(inflight);
+                return serve_hit(hit);
             } else {
                 // The check and the gauge increment share the map mutex, so
                 // the budget is exact: never more than `max_inflight`
@@ -965,6 +982,12 @@ impl SharedEngine {
                     .algorithm(query.algorithm)
                     .record_us(compute_us);
                 if let Ok(result) = &outcome {
+                    let consulted = result.samples_consulted as u64;
+                    let repriced = result.samples_repriced as u64;
+                    self.counters
+                        .samples_consulted
+                        .fetch_add(consulted, Relaxed);
+                    self.counters.samples_repriced.fetch_add(repriced, Relaxed);
                     let mut cache = lock_unpoisoned(&self.cache);
                     // Only cache answers for the pool that is *still*
                     // resident: a swap mid-compute bumped the epoch.
